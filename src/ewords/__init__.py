@@ -1,11 +1,12 @@
 """Palindromic primitive words in the rank-2 free group, indexed by ℚ ∪ {∞}.
 
 Every extended rational p/q in lowest terms names one distinguished
-primitive word over two generators.  The package builds these words three
-independent ways — a parent-product recursion on the Farey tree, closed
-forms for integer and reciprocal indices, and a palindrome-aware stepping
-machine driven by continued-fraction entries — and ships the exhaustive
-cross-checks that tie the routes together.
+primitive word over two generators.  The package builds each word with one
+walk: a palindrome-aware stepping machine driven by the continued-fraction
+entries of the index, optionally entered at the closed forms for integer
+and reciprocal indices.  Independent oracles (the literal parent-product
+recursion on the Farey tree among them) and exhaustive cross-checks tie
+the routes together.
 """
 
 from .enumeration import (

@@ -7,26 +7,26 @@ first, even the lower's.  The index of a product is always the mediant of
 the factors' indices, so the word at p/q has |p| b-letters and q
 a-letters, and it is a palindrome exactly when p * q is even.
 
-Two termination modes produce identical words.  Orphan mode recurses all
-the way down to 0/1 and 1/0; shortcut mode stops early at integers n/1
-and reciprocals 1/n, whose words have closed forms.
+e_word builds the word by walking the Stern-Brocot path of the continued
+fraction with the stepper's run_preserving blocks, whose palindrome order
+rule yields the same products as the parity rule.  Two modes produce
+identical words.  Orphan mode starts the walk at 0/1 and 1/0; shortcut
+mode starts it past the first block, at the closed form of an integer n/1
+or a reciprocal 1/n.
 
 Negative indices mirror positive ones with the sign of every a-exponent
-flipped.  Concretely the recursion runs through the negative-side parents
-with the product order swapped, and on that side the zero endpoint
-contributes a^-1 instead of a.
+flipped.
 """
 
 from __future__ import annotations
 
-from .farey import ZERO, ExtRational, farey_sum, parents
+from .farey import INFINITY, ZERO, ExtRational, farey_sum, to_continued_fraction
+from .stepper import GeneratorPair, run_preserving
 from .word import FreeWord
 
 MODES = ("orphan", "shortcut")
 
-_A = FreeWord.letter("a")
 _B = FreeWord.letter("b")
-_A_INV = FreeWord.letter("a", -1)
 
 
 def sign_rule(x: int) -> int:
@@ -52,53 +52,36 @@ def e_word_reciprocal(n: int) -> FreeWord:
 
 
 def e_word(x: ExtRational, mode: str = "orphan") -> FreeWord:
-    """The word at index x, computed by the parent-product recursion.
+    """The word at index x, built by one walk down the continued fraction of |x|.
 
-    Results are memoized per call only, so concurrent evaluations never
-    share state.
+    The walk starts from the pair (a, b) at (0/1, 1/0) and takes one
+    run_preserving block per nonzero entry: even positions preserve the
+    right word, odd positions the left.  The side changed last carries the
+    word.  Negative x starts from (a^-1, b) instead; the walk only forms
+    products and powers of the two start words, and a -> a^-1 keeps
+    palindromes palindromes, so this yields the letter mirror of the
+    positive word.  Shortcut mode enters the walk past its first block, at
+    the integer or reciprocal closed form.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    memo: dict[ExtRational, FreeWord] = {}
-
-    def terminal(y: ExtRational) -> FreeWord | None:
-        if y.is_infinite:
-            return _B
-        if mode == "shortcut":
-            if y.q == 1:
-                return e_word_integer(y.p)
-            if abs(y.p) == 1:
-                return e_word_reciprocal(y.p * y.q)
-        elif y == ZERO:
-            return _A
-        return None
-
-    def negative_parent_value(z: ExtRational) -> FreeWord:
-        # the zero endpoint flips on the negative side
-        if z == ZERO:
-            return _A_INV
-        if z.is_infinite:
-            return _B
-        return rec(z)
-
-    def rec(y: ExtRational) -> FreeWord:
-        w = memo.get(y)
-        if w is not None:
-            return w
-        w = terminal(y)
-        if w is None:
-            lo, up = parents(y)
-            odd = (y.p * y.q) % 2 == 1
-            if y.is_negative:
-                wlo, wup = negative_parent_value(lo), negative_parent_value(up)
-                w = wlo * wup if odd else wup * wlo
-            else:
-                wlo, wup = rec(lo), rec(up)
-                w = wup * wlo if odd else wlo * wup
-        memo[y] = w
-        return w
-
-    return rec(x)
+    if x.is_infinite:
+        return _B
+    s = -1 if x.is_negative else 1
+    entries = to_continued_fraction(ExtRational(abs(x.p), x.q)).entries
+    pair, skip = GeneratorPair(FreeWord.letter("a", s), _B, ZERO, INFINITY), 0
+    if mode == "shortcut":
+        n0 = entries[0]
+        if n0:
+            pair, skip = GeneratorPair(e_word_integer(s * n0), _B, ExtRational(n0), INFINITY), 1
+        elif len(entries) > 1:
+            n1 = entries[1]
+            pair = GeneratorPair(pair.left, e_word_reciprocal(s * n1), ZERO, ExtRational(1, n1))
+            skip = 2
+    for i, n in enumerate(entries[skip:], skip):
+        if n:
+            pair = run_preserving(pair, "right" if i % 2 == 0 else "left", n)
+    return pair.left if len(entries) % 2 else pair.right
 
 
 def child_word(

@@ -26,6 +26,8 @@ class ExtRational:
     q: int = 1
 
     def __post_init__(self) -> None:
+        if type(self.p) is not int or type(self.q) is not int:
+            raise ValueError(f"p and q must be integers: {self.p!r}/{self.q!r}")
         if self.q < 0:
             raise ValueError(f"denominator must be nonnegative: {self.p}/{self.q}")
         if self.q == 0 and self.p != 1:

@@ -53,7 +53,7 @@ class ESequence:
         if not self.entries:
             raise ValueError("sequence needs at least one entry")
         for i, n in enumerate(self.entries):
-            if not isinstance(n, int):
+            if type(n) is not int:
                 raise ValueError(f"entries must be integers: {n!r}")
             if n < (0 if i == 0 else 1):
                 raise ValueError(f"entry {n} at position {i} is too small")

@@ -37,7 +37,7 @@ class FreeWord:
         for g, e in self.runs:
             if g not in GENERATORS:
                 raise ValueError(f"unknown generator {g!r}")
-            if not isinstance(e, int) or e == 0:
+            if type(e) is not int or e == 0:
                 raise ValueError(f"run exponent must be a nonzero integer: {e!r}")
             if g == prev:
                 raise ValueError("word is not reduced: adjacent runs share a letter")

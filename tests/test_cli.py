@@ -49,6 +49,10 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "7", "--mode", "shortcut")
         assert (code, out) == (0, "b^4 a b^3\n")
 
+    def test_level_1000(self, capsys):
+        code, out, _ = run(capsys, "compute", "1000")
+        assert (code, out) == (0, "b^500 a b^500\n")
+
     @pytest.mark.parametrize("index", ["0", "inf", "5/3", "-7/4", "21/4"])
     @pytest.mark.parametrize("alphabet", ["ab", "AB"])
     def test_output_reparses(self, capsys, index, alphabet):

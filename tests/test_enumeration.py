@@ -6,9 +6,11 @@ from ewords import (
     INFINITY,
     PARITY_ROWS,
     ZERO,
+    ESequence,
     ExtRational,
     FreeWord,
     child_word,
+    closed_form_stop,
     e_word,
     e_word_integer,
     e_word_reciprocal,
@@ -46,7 +48,7 @@ KNOWN_WORDS = {
 }
 
 indexish = st.tuples(
-    st.integers(min_value=-60, max_value=60), st.integers(min_value=1, max_value=60)
+    st.integers(min_value=-5000, max_value=5000), st.integers(min_value=1, max_value=5000)
 )
 
 
@@ -69,6 +71,18 @@ class TestEWord:
     def test_modes_agree_exhaustive(self):
         for x in rational_indices(20):
             assert e_word(x, "orphan") == e_word(x, "shortcut"), x
+
+    @pytest.mark.parametrize("mode", ["orphan", "shortcut"])
+    @pytest.mark.parametrize("n", [1000, -1000, 10**5, 10**6, -(10**6)])
+    def test_deep_integers(self, n, mode):
+        assert e_word(ExtRational(n, 1), mode) == e_word_integer(n)
+
+    @pytest.mark.parametrize("mode", ["orphan", "shortcut"])
+    @pytest.mark.parametrize("n", [5000, 10**5])
+    def test_deep_near_one(self, n, mode):
+        # (n+1)/n = [1; n], whose word the stopping-pair tables give directly
+        want = closed_form_stop(ESequence((1, n))).right
+        assert e_word(ExtRational(n + 1, n), mode) == want
 
     @given(indexish)
     def test_palindrome_parity(self, pq):

@@ -50,6 +50,12 @@ class TestExtRational:
         with pytest.raises(ValueError):
             ExtRational(0, 0)
 
+    def test_bool_rejected(self):
+        with pytest.raises(ValueError):
+            ExtRational(True)
+        with pytest.raises(ValueError):
+            ExtRational(1, True)
+
     def test_orphans(self):
         assert ZERO.is_orphan and INFINITY.is_orphan
         assert not ExtRational(1, 1).is_orphan

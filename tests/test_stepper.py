@@ -99,6 +99,10 @@ class TestESequence:
             ESequence((2, 0))
         assert ESequence((0, 1)).entries == (0, 1)
 
+    def test_bool_entry_rejected(self):
+        with pytest.raises(ValueError):
+            ESequence((True, 2))
+
     def test_parse_keeps_trailing_one(self):
         # unlike continued fractions, [2;1] and [3;] are different runs
         seq = ESequence.parse("[2;1]")

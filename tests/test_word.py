@@ -28,6 +28,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FreeWord((("c", 1),))
 
+    def test_bool_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            FreeWord((("a", True),))
+
     def test_from_runs_merges_and_cancels(self):
         assert FreeWord.from_runs([("b", 3), ("a", 1), ("b", 2)]) == W("b^3 a b^2")
         assert FreeWord.from_runs([("a", 1), ("a", -1)]) == FreeWord.identity()
