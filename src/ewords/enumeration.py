@@ -9,10 +9,9 @@ a-letters, and it is a palindrome exactly when p * q is even.
 
 e_word builds the word by walking the Stern-Brocot path of the continued
 fraction with the stepper's run_preserving blocks, whose palindrome order
-rule yields the same products as the parity rule.  Two modes produce
-identical words.  Orphan mode starts the walk at 0/1 and 1/0; shortcut
-mode starts it past the first block, at the closed form of an integer n/1
-or a reciprocal 1/n.
+rule yields the same products as the parity rule.  The two modes, orphan
+and shortcut, run the same walk and produce identical words; e_word_integer
+and e_word_reciprocal give the closed forms at n/1 and 1/n.
 
 Negative indices mirror positive ones with the sign of every a-exponent
 flipped.
@@ -60,8 +59,7 @@ def e_word(x: ExtRational, mode: str = "orphan") -> FreeWord:
     word.  Negative x starts from (a^-1, b) instead; the walk only forms
     products and powers of the two start words, and a -> a^-1 keeps
     palindromes palindromes, so this yields the letter mirror of the
-    positive word.  Shortcut mode enters the walk past its first block, at
-    the integer or reciprocal closed form.
+    positive word.  Both modes run this walk.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -69,16 +67,8 @@ def e_word(x: ExtRational, mode: str = "orphan") -> FreeWord:
         return _B
     s = -1 if x.is_negative else 1
     entries = to_continued_fraction(ExtRational(abs(x.p), x.q)).entries
-    pair, skip = GeneratorPair(FreeWord.letter("a", s), _B, ZERO, INFINITY), 0
-    if mode == "shortcut":
-        n0 = entries[0]
-        if n0:
-            pair, skip = GeneratorPair(e_word_integer(s * n0), _B, ExtRational(n0), INFINITY), 1
-        elif len(entries) > 1:
-            n1 = entries[1]
-            pair = GeneratorPair(pair.left, e_word_reciprocal(s * n1), ZERO, ExtRational(1, n1))
-            skip = 2
-    for i, n in enumerate(entries[skip:], skip):
+    pair = GeneratorPair(FreeWord.letter("a", s), _B, ZERO, INFINITY)
+    for i, n in enumerate(entries):
         if n:
             pair = run_preserving(pair, "right" if i % 2 == 0 else "left", n)
     return pair.left if len(entries) % 2 else pair.right

@@ -311,7 +311,8 @@ def _shortcut_form_cases(
 
 
 def _call_reduction_cases(indices: list[ExtRational]) -> Iterator[Case]:
-    # shortcut termination must strictly help off its own terminal set
+    # a property of the model parent recursion that recursion_call_count
+    # counts: stopping at the closed forms saves calls off their own indices
     for x in indices:
         if x.q < 2 or abs(x.p) < 2:
             continue

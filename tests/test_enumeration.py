@@ -75,6 +75,7 @@ class TestEWord:
     @pytest.mark.parametrize("mode", ["orphan", "shortcut"])
     @pytest.mark.parametrize("n", [1000, -1000, 10**5, 10**6, -(10**6)])
     def test_deep_integers(self, n, mode):
+        # the walk against the closed form, past any recursion depth
         assert e_word(ExtRational(n, 1), mode) == e_word_integer(n)
 
     @pytest.mark.parametrize("mode", ["orphan", "shortcut"])
