@@ -3,7 +3,7 @@
 Subcommands: compute (word at an index), trace (run a stepping sequence),
 parents / cf / level (index arithmetic), verify (property sweep), count
 (length counting).  Exit codes: 0 success, 1 a verification-style command
-found a mismatch, 2 usage or parse errors.
+found a mismatch, 2 usage, parse or resource (memory, overflow) errors.
 """
 
 from __future__ import annotations
@@ -190,8 +190,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError, OverflowError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

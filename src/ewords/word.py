@@ -2,7 +2,10 @@
 
 A word is a tuple of (letter, exponent) runs with nonzero exponents and no
 two adjacent runs on the same letter; the empty tuple is the identity.
-Words are immutable and every operation returns a new word.
+Words are immutable and every operation returns a new word.  Validation
+happens at the public constructors (``FreeWord(...)``, ``from_runs``,
+``parse``); a product of valid words copies their runs once, cancelling and
+merging only at the seam, and powers are built by repeated squaring.
 
 Two renderings exist: the internal {a, b} alphabet, and an {A, B} view
 related by a = A^-1 and b = B.  Parsing and formatting translate between
@@ -43,6 +46,13 @@ class FreeWord:
                 raise ValueError("word is not reduced: adjacent runs share a letter")
             prev = g
 
+    @staticmethod
+    def _trusted(runs: tuple[tuple[str, int], ...]) -> "FreeWord":
+        # For runs already reduced and valid: skips __post_init__.
+        w = object.__new__(FreeWord)
+        object.__setattr__(w, "runs", runs)
+        return w
+
     @classmethod
     def identity(cls) -> "FreeWord":
         return cls(())
@@ -56,14 +66,9 @@ class FreeWord:
         """Build a word from arbitrary runs, merging and cancelling as needed."""
         out: list[tuple[str, int]] = []
         for g, e in pairs:
-            if e == 0:
-                continue
             if out and out[-1][0] == g:
-                merged = out[-1][1] + e
-                out.pop()
-                if merged:
-                    out.append((g, merged))
-            else:
+                e += out.pop()[1]
+            if e:
                 out.append((g, e))
         return cls(tuple(out))
 
@@ -78,25 +83,37 @@ class FreeWord:
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if not isinstance(other, FreeWord):
             return NotImplemented
-        return FreeWord.from_runs(self.runs + other.runs)
+        a, b = self.runs, other.runs
+        i, j = len(a), 0
+        while i and j < len(b) and a[i - 1][0] == b[j][0]:
+            if e := a[i - 1][1] + b[j][1]:
+                return FreeWord._trusted(a[: i - 1] + ((b[j][0], e),) + b[j + 1 :])
+            i, j = i - 1, j + 1
+        return FreeWord._trusted(a[:i] + b[j:])
 
     def __pow__(self, n: int) -> "FreeWord":
         if n < 0:
             return self.inverse() ** (-n)
-        return FreeWord.from_runs(self.runs * n)
+        out, base = FreeWord._trusted(()), self
+        while n:
+            if n & 1:
+                out = out * base
+            if n := n >> 1:
+                base = base * base
+        return out
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(tuple((g, -e) for g, e in reversed(self.runs)))
+        return FreeWord._trusted(tuple((g, -e) for g, e in reversed(self.runs)))
 
     def __invert__(self) -> "FreeWord":
         return self.inverse()
 
     def reverse(self) -> "FreeWord":
         """The word read back to front; exponents keep their signs."""
-        return FreeWord(tuple(reversed(self.runs)))
+        return FreeWord._trusted(self.runs[::-1])
 
     def is_palindrome(self) -> bool:
-        return self.runs == tuple(reversed(self.runs))
+        return self.runs == self.runs[::-1]
 
     def exponent_sum(self, g: str) -> int:
         return sum(e for gg, e in self.runs if gg == g)
@@ -144,24 +161,21 @@ class FreeWord:
 
     def format(self, alphabet: str = "ab") -> str:
         """Render as space-separated tokens; '^' appears only when needed."""
-        _check_alphabet(alphabet)
+        la, lb = _check_alphabet(alphabet)
         if self.is_identity:
             return "1"
+        sa = -1 if alphabet == "AB" else 1
         tokens = []
-        for letter, e in self.to_pairs(alphabet):
+        for g, e in self.runs:
+            letter, e = (la, sa * e) if g == "a" else (lb, e)
             tokens.append(letter if e == 1 else f"{letter}^{e}")
         return " ".join(tokens)
 
     def to_pairs(self, alphabet: str = "ab") -> list[list]:
         """[letter, exponent] pairs in the requested alphabet (JSON view)."""
-        _check_alphabet(alphabet)
-        out = []
-        for g, e in self.runs:
-            if alphabet == "AB":
-                out.append(["A" if g == "a" else "B", -e if g == "a" else e])
-            else:
-                out.append([g, e])
-        return out
+        la, lb = _check_alphabet(alphabet)
+        sa = -1 if alphabet == "AB" else 1
+        return [[la, sa * e] if g == "a" else [lb, e] for g, e in self.runs]
 
     def __str__(self) -> str:
         return self.format()

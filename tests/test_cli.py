@@ -53,6 +53,27 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "1000")
         assert (code, out) == (0, "b^500 a b^500\n")
 
+    @pytest.mark.parametrize("mode", ["orphan", "shortcut"])
+    def test_huge_exponents(self, capsys, mode):
+        # powers by doubling: a three-run word, however large its exponents
+        half = 5 * 10**19
+        code, out, _ = run(capsys, "compute", str(2 * half), "--mode", mode)
+        assert (code, out) == (0, f"b^{half} a b^{half}\n")
+        code, out, _ = run(capsys, "compute", f"1/{2 * half}", "--mode", mode)
+        assert (code, out) == (0, f"a^{half} b a^{half}\n")
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [(MemoryError(), "MemoryError"), (OverflowError("too many runs"), "too many runs")],
+    )
+    def test_resource_errors_exit_2(self, capsys, monkeypatch, error, message):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("ewords.cli.e_word", fail)
+        code, out, err = run(capsys, "compute", "5/3")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("index", ["0", "inf", "5/3", "-7/4", "21/4"])
     @pytest.mark.parametrize("alphabet", ["ab", "AB"])
     def test_output_reparses(self, capsys, index, alphabet):

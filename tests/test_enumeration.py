@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -84,6 +86,18 @@ class TestEWord:
         # (n+1)/n = [1; n], whose word the stopping-pair tables give directly
         want = closed_form_stop(ESequence((1, n))).right
         assert e_word(ExtRational(n + 1, n), mode) == want
+
+    def test_near_one_memory(self):
+        # 2*10^6 + 1 runs; products share run tuples instead of copying them
+        tracemalloc.start()
+        try:
+            w = e_word(ExtRational(1000001, 1000000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert w.factor_count("b") == 10**6 + 1
+        assert w.factor_count("a") == 10**6
 
     @given(indexish)
     def test_palindrome_parity(self, pq):

@@ -13,6 +13,8 @@ run_lists = st.lists(
     max_size=200,
 )
 words = run_lists.map(FreeWord.from_runs)
+# c u c^-1 cancels at the seams of its own powers
+conjugates = st.builds(lambda c, u: c * u * ~c, words, words)
 
 
 class TestConstruction:
@@ -99,6 +101,53 @@ class TestAlgebra:
     def test_reverse_involution(self, w):
         assert w.reverse().reverse() == w
         assert w.is_palindrome() == w.reverse().is_palindrome()
+
+
+def assert_canonical(w):
+    # a word built by the kernel is indistinguishable from a validated one
+    assert type(w.runs) is tuple
+    assert all(type(r) is tuple and len(r) == 2 for r in w.runs)
+    assert w == FreeWord(w.runs) and hash(w) == hash(FreeWord(w.runs))
+
+
+class TestKernel:
+    """Products and powers against the merging constructor, run for run."""
+
+    @given(words, words)
+    def test_product_matches_from_runs(self, u, v):
+        w = u * v
+        assert w == FreeWord.from_runs(u.runs + v.runs)
+        assert_canonical(w)
+
+    @given(st.one_of(words, conjugates), st.integers(min_value=-6, max_value=6))
+    def test_power_matches_from_runs(self, u, n):
+        w = u**n
+        assert w == FreeWord.from_runs((u if n >= 0 else u.inverse()).runs * abs(n))
+        assert_canonical(w)
+
+    def test_power_cancels_at_the_seam(self):
+        assert W("a b a^-1") ** 2 == W("a b^2 a^-1")
+        assert W("a b a^-1") ** -3 == W("a b^-3 a^-1")
+        assert W("b a b") ** 3 == W("b a b^2 a b^2 a b")
+        assert W("a b") ** 0 == FreeWord.identity()
+
+    @given(words)
+    def test_inverse_and_reverse_unchanged(self, w):
+        assert ~w == FreeWord(tuple((g, -e) for g, e in reversed(w.runs)))
+        assert w.reverse() == FreeWord(tuple(reversed(w.runs)))
+        assert_canonical(~w)
+        assert_canonical(w.reverse())
+
+    def test_huge_exponent_is_one_run(self):
+        n = 10**20
+        assert W("b") ** n == FreeWord.letter("b", n)
+        assert W("a b a^-1") ** -n == FreeWord.from_runs([("a", 1), ("b", -n), ("a", -1)])
+        assert len((W("b a b") ** 1000).runs) == 2001
+
+    @pytest.mark.parametrize("runs", [(("c", 1),), (("a", True),), (("b", 2), ("a", 1.0))])
+    def test_from_runs_still_validates(self, runs):
+        with pytest.raises(ValueError):
+            FreeWord.from_runs(runs)
 
 
 class TestStatistics:
