@@ -28,7 +28,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     x = parse_rational(args.rational)
     w = e_word(x, mode=args.mode)
     rendered = w.format(args.alphabet)
-    if any(e < 0 for _, e in w.to_pairs(args.alphabet)):
+    if "^-" in rendered:
         print("note: word has negative exponents", file=sys.stderr)
     if args.format == "json":
         _print_json(
@@ -53,14 +53,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.format == "json":
         _print_json(trace.to_dict(args.alphabet))
         return 0
-    for line in trace.format_lines(args.alphabet):
+    lines, word_text = trace._render_lines(args.alphabet)
+    for line in lines:
         print(line)
     final = trace.final
     word = trace.last_changed_word
     print(f"value: {seq.value()}")
     print(f"final indices: {final.left_index}, {final.right_index}")
     print(
-        f"last changed: {trace.last_changed_side} = {word.format(args.alphabet)}"
+        f"last changed: {trace.last_changed_side} = {word_text}"
         f"  [index {trace.last_changed_index}]"
     )
     print(f"exponent sums: a={word.exponent_sum('a')} b={word.exponent_sum('b')}")

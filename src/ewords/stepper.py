@@ -17,6 +17,7 @@ short sequences the whole stopping pair does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .farey import (
     INFINITY,
@@ -153,6 +154,13 @@ def run_preserving(pair: GeneratorPair, preserve: str, n: int) -> GeneratorPair:
     )
 
 
+def _word_texts(alphabet: str) -> Callable[[FreeWord], str]:
+    # FreeWord.format once per word object, for one render of a trace: the
+    # trace holds every word while it renders, so no id() is reused.
+    texts: dict[int, str] = {}
+    return lambda w: texts.get(id(w)) or texts.setdefault(id(w), w.format(alphabet))
+
+
 @dataclass(frozen=True)
 class StepRecord:
     preserved: str
@@ -196,24 +204,31 @@ class StepTrace:
 
     def format_lines(self, alphabet: str = "ab") -> list[str]:
         """The run as an arrow chain, one line per step."""
+        return self._render_lines(alphabet)[0]
 
-        def fmt(pair: GeneratorPair) -> str:
-            return f"({pair.left.format(alphabet)}, {pair.right.format(alphabet)})"
+    def _render_lines(self, alphabet: str) -> tuple[list[str], str]:
+        # format_lines plus the last-changed word's text, from one memo
+        fmt = _word_texts(alphabet)
 
-        lines = [fmt(self.initial)]
+        def pair_text(pair: GeneratorPair) -> str:
+            return f"({fmt(pair.left)}, {fmt(pair.right)})"
+
+        lines = [pair_text(self.initial)]
         for rec in self.steps:
             mark = "L" if rec.preserved == "left" else "R"
             lines.append(
-                f"→ {fmt(rec.pair)}  [preserved: {mark}]  "
+                f"→ {pair_text(rec.pair)}  [preserved: {mark}]  "
                 f"[indices: {rec.pair.left_index}, {rec.pair.right_index}]"
             )
-        return lines
+        return lines, fmt(self.last_changed_word)
 
     def to_dict(self, alphabet: str = "ab") -> dict:
+        fmt = _word_texts(alphabet)
+
         def pair_dict(pair: GeneratorPair) -> dict:
             return {
-                "left": pair.left.format(alphabet),
-                "right": pair.right.format(alphabet),
+                "left": fmt(pair.left),
+                "right": fmt(pair.right),
                 "left_index": str(pair.left_index),
                 "right_index": str(pair.right_index),
             }
@@ -232,7 +247,7 @@ class StepTrace:
             ],
             "last_changed": {
                 "side": self.last_changed_side,
-                "word": word.format(alphabet),
+                "word": fmt(word),
                 "index": str(self.last_changed_index),
                 "exponent_sums": {
                     "a": word.exponent_sum("a"),

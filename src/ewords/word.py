@@ -165,11 +165,14 @@ class FreeWord:
         if self.is_identity:
             return "1"
         sa = -1 if alphabet == "AB" else 1
-        tokens = []
-        for g, e in self.runs:
-            letter, e = (la, sa * e) if g == "a" else (lb, e)
-            tokens.append(letter if e == 1 else f"{letter}^{e}")
-        return " ".join(tokens)
+        return " ".join(
+            [
+                (la if sa * e == 1 else f"{la}^{sa * e}")
+                if g == "a"
+                else (lb if e == 1 else f"{lb}^{e}")
+                for g, e in self.runs
+            ]
+        )
 
     def to_pairs(self, alphabet: str = "ab") -> list[list]:
         """[letter, exponent] pairs in the requested alphabet (JSON view)."""

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 
-from ewords import FreeWord
+from ewords import ESequence, FreeWord, run_esequence
 from ewords.cli import build_parser, main
+from ewords.verify import canonical_sequences
 
 
 def run(capsys, *argv):
@@ -31,6 +33,27 @@ class TestCompute:
         assert code == 0
         assert out == "a^-1 b a^-1 b a^-1\n"
         assert err == "note: word has negative exponents\n"
+
+    def test_negative_note_follows_alphabet(self, capsys):
+        # A stands for a^-1, so the sign the note reports depends on the alphabet
+        code, out, err = run(capsys, "compute", "1/2", "--alphabet", "AB", "--format", "json")
+        assert (code, err) == (0, "note: word has negative exponents\n")
+        assert json.loads(out)["runs"] == [["A", -1], ["B", 1], ["A", -1]]
+        code, out, err = run(capsys, "compute", "-1/2", "--alphabet", "AB")
+        assert (code, out, err) == (0, "A B A\n", "")
+
+    def test_near_one_memory(self, capsys):
+        # 2*10^6 + 1 runs: plain output builds no per-run list beside the text
+        tracemalloc.start()
+        try:
+            code = main(["compute", "1000001/1000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == 0
+        assert peak < 64 * 2**20
+        assert out == "b" + " a b" * 10**6 + "\n"
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "compute", "68/13", "--format", "json")
@@ -111,6 +134,89 @@ class TestTrace:
         code, _, err = run(capsys, "trace", "[0;0,3]")
         assert code == 2
         assert err.startswith("error:")
+
+
+def reference_trace(text, fmt, alphabet):
+    """eword trace output, calling FreeWord.format on every word it shows."""
+    trace = run_esequence(ESequence.parse(text))
+    word, final = trace.last_changed_word, trace.final
+    sums = {"a": word.exponent_sum("a"), "b": word.exponent_sum("b")}
+
+    def pair_dict(p):
+        return {
+            "left": p.left.format(alphabet),
+            "right": p.right.format(alphabet),
+            "left_index": str(p.left_index),
+            "right_index": str(p.right_index),
+        }
+
+    if fmt == "plain":
+        d = pair_dict(trace.initial)
+        lines = [f"({d['left']}, {d['right']})"]
+        for rec in trace.steps:
+            d = pair_dict(rec.pair)
+            lines.append(
+                f"→ ({d['left']}, {d['right']})  [preserved: {rec.preserved[0].upper()}]"
+                f"  [indices: {d['left_index']}, {d['right_index']}]"
+            )
+        lines += [
+            f"value: {trace.sequence.value()}",
+            f"final indices: {final.left_index}, {final.right_index}",
+            f"last changed: {trace.last_changed_side} = {word.format(alphabet)}"
+            f"  [index {trace.last_changed_index}]",
+            f"exponent sums: a={sums['a']} b={sums['b']}",
+        ]
+        return "\n".join(lines) + "\n"
+    entries = trace.sequence.entries
+    data = {
+        "esequence": list(entries),
+        "value": str(trace.sequence.value()),
+        "initial": pair_dict(trace.initial),
+        "steps": [{"preserved": r.preserved, **pair_dict(r.pair)} for r in trace.steps],
+        "blocks": [
+            {"entry": n, "position": i, **pair_dict(p)}
+            for i, (n, p) in enumerate(zip(entries, trace.block_ends()))
+        ],
+        "last_changed": {
+            "side": trace.last_changed_side,
+            "word": word.format(alphabet),
+            "index": str(trace.last_changed_index),
+            "exponent_sums": sums,
+        },
+    }
+    return json.dumps(data, indent=2) + "\n"
+
+
+TRACE_SEQUENCES = [str(s) for s in canonical_sequences(3, 3)] + [
+    "[40;1,2,30]",
+    "[0;3,25,1,2]",
+    "[3;2,20,1,2,30,2,1]",
+]
+
+
+class TestTraceRendering:
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    @pytest.mark.parametrize("alphabet", ["ab", "AB"])
+    def test_matches_reference(self, capsys, fmt, alphabet):
+        for text in TRACE_SEQUENCES:
+            code, out, err = run(capsys, "trace", text, "--format", fmt, "--alphabet", alphabet)
+            assert (code, err) == (0, "")
+            assert out == reference_trace(text, fmt, alphabet), text
+
+    def test_plain_formats_each_word_once(self, capsys, monkeypatch):
+        # the "last changed:" line reuses the final pair's text
+        calls = []
+        original = FreeWord.format
+
+        def counting(self, alphabet="ab"):
+            calls.append(self)
+            return original(self, alphabet)
+
+        monkeypatch.setattr(FreeWord, "format", counting)
+        code, _, _ = run(capsys, "trace", "[0;3,25,1,2]")
+        assert code == 0
+        assert len(calls) == 31 + 2
+        assert len({id(w) for w in calls}) == len(calls)
 
 
 class TestIndexCommands:

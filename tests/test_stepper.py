@@ -237,6 +237,22 @@ class TestRunESequence:
         assert lines[0] == "(a, b)"
         assert lines[1] == "→ (b a, b)  [preserved: R]  [indices: 1/1, 1/0]"
 
+    @pytest.mark.parametrize("render", ["format_lines", "to_dict"])
+    @pytest.mark.parametrize("entries", [(1,), (0, 3, 4), (5, 4, 3), (40, 1, 2, 30)])
+    def test_renders_each_word_once(self, monkeypatch, render, entries):
+        # n steps make n + 2 distinct words; each is formatted exactly once
+        trace = run_esequence(ESequence(entries))
+        calls = []
+        original = FreeWord.format
+
+        def counting(self, alphabet="ab"):
+            calls.append(alphabet)
+            return original(self, alphabet)
+
+        monkeypatch.setattr(FreeWord, "format", counting)
+        getattr(trace, render)("AB")
+        assert calls == ["AB"] * (len(trace.steps) + 2)
+
     def test_to_dict(self):
         d = run_esequence(ESequence((0, 3, 4))).to_dict()
         assert d["esequence"] == [0, 3, 4]

@@ -203,8 +203,24 @@ class TestParseFormat:
     def test_format_examples(self):
         assert str(W("b^3 a b^2")) == "b^3 a b^2"
         assert FreeWord.identity().format() == "1"
+        assert FreeWord.identity().format("AB") == "1"
         assert W("a").format("AB") == "A^-1"
         assert W("a^-1 b").format("AB") == "A B"
+
+    @given(words, st.sampled_from(["ab", "AB"]))
+    def test_format_matches_letter_reference(self, w, alphabet):
+        # merge the flat letters into tokens of the rendered alphabet (A = a^-1)
+        tokens = []
+        for g, s in letters(w):
+            name = alphabet["ab".index(g)]
+            if name == "A":
+                s = -s
+            if tokens and tokens[-1][0] == name:
+                tokens[-1][1] += s
+            else:
+                tokens.append([name, s])
+        want = " ".join(n if e == 1 else f"{n}^{e}" for n, e in tokens) or "1"
+        assert w.format(alphabet) == want
 
     def test_alphabet_validated(self):
         with pytest.raises(ValueError):
