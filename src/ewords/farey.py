@@ -204,10 +204,27 @@ def from_continued_fraction(cf: ContinuedFraction) -> ExtRational:
     return evaluate_entries(cf.entries)
 
 
+def _bracket(entries: Iterable[int]) -> tuple[ExtRational, ExtRational]:
+    """Stern-Brocot bracket (lower, upper) after walking an entry list.
+
+    From (0/1, 1/0), an entry n at an even position moves the lower end n
+    mediants up, at an odd position the upper end n mediants down.  The
+    end moved last is the list's value.
+    """
+    (p, q), (r, s) = (0, 1), (1, 0)
+    for i, n in enumerate(entries):
+        if i % 2:
+            r, s = r + n * p, s + n * q
+        else:
+            p, q = p + n * r, q + n * s
+    return ExtRational(p, q), ExtRational(r, s)
+
+
 def parents(x: ExtRational) -> tuple[ExtRational, ExtRational]:
     """The two lower-level Farey neighbors whose mediant rebuilds x.
 
-    Returned ordered (lower, upper).  For positive x both bounds are
+    Returned ordered (lower, upper): the bracket of x's continued fraction
+    with its last entry lowered by one.  For positive x both bounds are
     sharp: lower < x < upper with ∞ greatest.  Negative values mirror the
     positive ones, which puts ∞ in the lower slot for negative integers:
     the parents of -3 are (1/0, -2/1).
@@ -217,14 +234,8 @@ def parents(x: ExtRational) -> tuple[ExtRational, ExtRational]:
     if x.is_negative:
         lo, up = parents(-x)
         return (-up, -lo)
-    entries = list(to_continued_fraction(x).entries)
-    shorter = entries[:-1]
-    first = evaluate_entries(shorter) if shorter else INFINITY
-    dec = entries[:-1] + [entries[-1] - 1]
-    if len(dec) > 1 and dec[-1] == 1:
-        dec = dec[:-2] + [dec[-2] + 1]
-    second = evaluate_entries(dec)
-    return (first, second) if first < second else (second, first)
+    entries = to_continued_fraction(x).entries
+    return _bracket(entries[:-1] + (entries[-1] - 1,))
 
 
 def farey_level(x: ExtRational) -> int:

@@ -10,8 +10,9 @@ Runs are driven by an entry sequence [n0; n1, ..., nk]: entries in even
 positions spend their steps preserving the right word, odd positions the
 left, and a leading 0 skips straight to the left-preserving block.  After
 the run the side changed last carries the word indexed by the sequence's
-value.  Blocks of same-side steps also collapse to closed forms, and for
-short sequences the whole stopping pair does.
+value.  A block of n same-side steps collapses to one rule, A^x M A^(n-x)
+for the preserved word A, and for short sequences the whole stopping pair
+has closed forms.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .farey import (
     INFINITY,
     ZERO,
     ExtRational,
+    _bracket,
     evaluate_entries,
     farey_sum,
     format_entries,
@@ -116,42 +118,35 @@ def step(pair: GeneratorPair, preserve: str) -> GeneratorPair:
     return GeneratorPair(product, pair.right, child, pair.right_index)
 
 
-def _index_shift(moving: ExtRational, anchor: ExtRational, n: int) -> ExtRational:
-    # n successive mediants against a fixed anchor
-    return ExtRational(moving.p + n * anchor.p, moving.q + n * anchor.q)
-
-
 def run_preserving(pair: GeneratorPair, preserve: str, n: int) -> GeneratorPair:
-    """n steps preserving one side, collapsed to a closed form.
+    """n steps preserving one side, collapsed to one block rule.
 
-    Which form applies depends on the palindrome profile of the pair; for
-    the states this machine actually visits at most one word is a
-    non-palindrome.  Agrees with n iterated single steps.
+    With the preserved word A and the other word M the block yields
+    A^x M A^(n-x).  A non-palindrome A takes every product on its own
+    side: x = n preserving the left, 0 preserving the right.  A palindrome
+    A does so only while M is not a palindrome (states the machine visits
+    need at most one such step); then the order alternates, and over the
+    k steps left x = k // 2 on the left, (k + 1) // 2 on the right.
+    Agrees with n iterated steps.
     """
     _check_side(preserve)
     if n < 1:
         raise ValueError(f"step count must be positive: {n}")
-    lp, rp = pair.left.is_palindrome(), pair.right.is_palindrome()
-    if not lp and not rp:
-        out = pair
-        for _ in range(n):
-            out = step(out, preserve)
-        return out
-    left, right = pair.left, pair.right
-    m, big = n // 2, (n + 1) // 2
-    if lp and rp:
-        new = (left**m * right * left**big) if preserve == "left" else (right**big * left * right**m)
-    elif not lp:
-        new = (left**n * right) if preserve == "left" else (right**m * left * right**big)
+    left = preserve == "left"
+    anchor, moving = (pair.left, pair.right) if left else (pair.right, pair.left)
+    ai, mi = (pair.left_index, pair.right_index) if left else (pair.right_index, pair.left_index)
+    k = n
+    if not anchor.is_palindrome():
+        x = n if left else 0
     else:
-        new = (left**big * right * left**m) if preserve == "left" else (left * right**n)
-    if preserve == "left":
-        return GeneratorPair(
-            left, new, pair.left_index, _index_shift(pair.right_index, pair.left_index, n)
-        )
-    return GeneratorPair(
-        new, right, _index_shift(pair.left_index, pair.right_index, n), pair.right_index
-    )
+        while k and not moving.is_palindrome():
+            moving = anchor * moving if left else moving * anchor
+            k -= 1
+        x = k // 2 if left else (k + 1) // 2
+    new = anchor**x * moving * anchor ** (k - x)
+    # n successive mediants against the fixed anchor index
+    mi = ExtRational(mi.p + n * ai.p, mi.q + n * ai.q)
+    return GeneratorPair(anchor, new, ai, mi) if left else GeneratorPair(new, anchor, mi, ai)
 
 
 def _word_texts(alphabet: str) -> Callable[[FreeWord], str]:
@@ -270,16 +265,6 @@ def run_esequence(seq: ESequence) -> StepTrace:
     return StepTrace(seq, start, tuple(records))
 
 
-def _final_indices(entries: tuple[int, ...]) -> tuple[ExtRational, ExtRational]:
-    li, ri = (0, 1), (1, 0)
-    for i, n in enumerate(entries):
-        if i % 2 == 0:
-            li = (li[0] + n * ri[0], li[1] + n * ri[1])
-        else:
-            ri = (ri[0] + n * li[0], ri[1] + n * li[1])
-    return ExtRational(*li), ExtRational(*ri)
-
-
 def closed_form_stop(seq: ESequence) -> GeneratorPair:
     """Stopping pair of a short sequence straight from the tables.
 
@@ -345,8 +330,7 @@ def closed_form_stop(seq: ESequence) -> GeneratorPair:
             right = a**m1 * (b * a ** (n1 + 1)) ** n3 * b * a**m1
     else:
         raise ShapeMismatch(f"{seq} does not match a stopping-pair table shape")
-    li, ri = _final_indices(e)
-    return GeneratorPair(left, right, li, ri)
+    return GeneratorPair(left, right, *_bracket(e))
 
 
 def exponent_form_check(word: FreeWord, seq: ESequence) -> bool:

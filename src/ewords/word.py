@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 GENERATORS = ("a", "b")
@@ -116,7 +117,9 @@ class FreeWord:
         return self.runs == self.runs[::-1]
 
     def exponent_sum(self, g: str) -> int:
-        return sum(e for gg, e in self.runs if gg == g)
+        # runs alternate letters, so g's runs are every other one
+        start = 0 if self.runs and self.runs[0][0] == g else 1
+        return sum(map(itemgetter(1), self.runs[start::2])) if g in GENERATORS else 0
 
     def factor_count(self, g: str) -> int:
         """Number of occurrences of g or its inverse as letters."""

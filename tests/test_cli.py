@@ -1,5 +1,7 @@
 import json
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -243,6 +245,14 @@ class TestIndexCommands:
         assert run(capsys, "level", "68/13")[:2] == (0, "12\n")
         assert run(capsys, "level", "-68/13")[:2] == (0, "12\n")
 
+    def test_parents_and_level_json(self, capsys):
+        code, out, _ = run(capsys, "parents", "68/13", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"index": "68/13", "parents": ["47/9", "21/4"]}
+        code, out, _ = run(capsys, "level", "68/13", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"index": "68/13", "level": 12}
+
     def test_unparsable_rational(self, capsys):
         code, _, err = run(capsys, "level", "3/6/9")
         assert code == 2
@@ -292,3 +302,30 @@ class TestParser:
 
     def test_prog_name(self):
         assert build_parser().prog == "eword"
+
+
+def readme_examples():
+    """One param per "$ eword ..." in the README's Command line block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.split("$ eword ")[1:]:
+        command, *shown = chunk.strip("\n").split("\n")
+        examples.append(pytest.param(shlex.split(command), shown, id=command))
+    return examples
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv, shown", readme_examples())
+    def test_command_line_examples(self, capsys, argv, shown):
+        # stderr lines come first, as in the README; "  ..." elides middle lines
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        got = err.splitlines() + out.splitlines()
+        if "  ..." in shown:
+            cut = shown.index("  ...")
+            head, tail = shown[:cut], shown[cut + 1 :]
+            assert got[:cut] == head
+            assert got[len(got) - len(tail) :] == tail
+        else:
+            assert got == shown

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ewords import (
     INFINITY,
@@ -18,6 +20,8 @@ from ewords import (
     step,
 )
 from ewords.verify import canonical_sequences, table_sequences
+
+from test_word import words
 
 W = FreeWord.parse
 
@@ -178,6 +182,25 @@ class TestRunPreserving:
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValueError):
             run_preserving(initial_pair(), "left", 0)
+
+    @given(words, words, st.sampled_from(["left", "right"]), st.integers(1, 8))
+    def test_matches_iteration_on_any_pair(self, left, right, side, n):
+        state = GeneratorPair(left, right, ZERO, INFINITY)
+        expected = state
+        for _ in range(n):
+            expected = step(expected, side)
+        assert run_preserving(state, side, n) == expected
+
+    def test_palindrome_anchor_with_non_palindrome_partner(self):
+        # neither a b nor a^2 b is a palindrome, so both steps put a in front
+        state = pair_of("a", "a b", (0, 1), (1, 0))
+        assert run_preserving(state, "left", 2) == pair_of("a", "a^3 b", (0, 1), (1, 2))
+
+    def test_long_block_on_non_palindromes(self):
+        state = pair_of("a b a^-1", "b a", (0, 1), (1, 0))
+        assert run_preserving(state, "left", 10**12) == pair_of(
+            "a b a^-1", "a b^1000000000000 a^-1 b a", (0, 1), (1, 10**12)
+        )
 
 
 class TestRunESequence:

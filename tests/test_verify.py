@@ -196,6 +196,22 @@ class TestSweep:
         assert "expected a b a" in "".join(report.format_table())
         assert isinstance(check, SweepCheck)
 
+    def test_long_failure_list(self):
+        from ewords.verify import SweepCheck, SweepFailure, SweepReport
+
+        failures = tuple(SweepFailure(f"{i}/1", "a", "b") for i in range(7))
+        report = SweepReport(3, (SweepCheck("demo", 7, failures),))
+        lines = report.format_table()
+        assert sum(line.startswith(">     ") for line in lines) == 6
+        assert [line for line in lines if "expected" in line] == [
+            f">     {i}/1: expected a, got b" for i in range(5)
+        ]
+        assert ">     ... 2 more" in lines
+        assert lines[-1] == "FAIL: 7 instances, 7 failures"
+        assert report.to_dict()["checks"][0]["failures"] == [
+            {"input": f"{i}/1", "expected": "a", "got": "b"} for i in range(7)
+        ]
+
 
 class TestLevelsAgainstTree:
     def test_levels_cover_shell(self):

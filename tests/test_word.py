@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ewords import FreeWord
@@ -162,6 +162,14 @@ class TestStatistics:
         assert w.exponent_sum("b") == 2
         assert w.exponent_sum("a") == -1
         assert FreeWord.identity().exponent_sum("a") == 0
+
+    @given(words)
+    @example(FreeWord.identity())
+    @example(W("a^2 b^-1 a"))
+    @example(W("b^-3 a b"))
+    def test_exponent_sum_matches_letters(self, w):
+        for g in "abc":
+            assert w.exponent_sum(g) == sum(s for gg, s in letters(w) if gg == g)
 
     def test_factor_count_and_length(self):
         w = W("a^2 b a^3 b a^3 b a^3 b a^2")
