@@ -8,114 +8,69 @@ independent oracles (the literal parent-product recursion on the Farey
 tree among them) and exhaustive cross-checks tie the routes together.
 """
 
-from .enumeration import (
-    EXCLUDED_ROWS,
-    MODES,
-    PARITY_ROWS,
-    child_word,
-    e_word,
-    e_word_integer,
-    e_word_reciprocal,
-    matches_excluded_row,
-    parity_pattern,
-    sign_rule,
-)
+from .enumeration import MODES, e_word
 from .farey import (
     INFINITY,
     ZERO,
     ContinuedFraction,
     ExtRational,
-    evaluate_entries,
     farey_level,
-    farey_sum,
-    from_continued_fraction,
-    is_farey_neighbor,
-    normalize,
     parents,
-    parse_continued_fraction,
     parse_rational,
     to_continued_fraction,
 )
 from .stepper import (
     ESequence,
     GeneratorPair,
-    ShapeMismatch,
-    StepRecord,
     StepTrace,
-    closed_form_stop,
-    exponent_form_check,
-    initial_pair,
     run_esequence,
     run_preserving,
     step,
 )
 from .verify import (
-    SweepCheck,
-    SweepFailure,
     SweepReport,
-    canonical_sequences,
     count_ewords_of_length,
     enumerate_ewords,
-    neighbor_pairs,
-    oracle_e_word,
-    oracle_parents,
     rational_indices,
-    recursion_call_count,
     sweep,
-    table_sequences,
 )
 from .word import FreeWord
+
+# Outside the production API but still importable from here: the closed
+# forms, index helpers, oracles, parity tables and sweep parts.
+from .enumeration import e_word_integer, e_word_reciprocal, sign_rule
+from .farey import evaluate_entries, farey_sum, from_continued_fraction
+from .farey import is_farey_neighbor, normalize, parse_continued_fraction
+from .stepper import ShapeMismatch, StepRecord, closed_form_stop, exponent_form_check
+from .stepper import initial_pair
+from .verify import EXCLUDED_ROWS, PARITY_ROWS, SweepCheck, SweepFailure, child_word
+from .verify import canonical_sequences, matches_excluded_row, neighbor_pairs
+from .verify import oracle_e_word, oracle_parents, parity_pattern, recursion_call_count
+from .verify import table_sequences
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ContinuedFraction",
     "ESequence",
-    "EXCLUDED_ROWS",
     "ExtRational",
     "FreeWord",
     "GeneratorPair",
     "INFINITY",
     "MODES",
-    "PARITY_ROWS",
-    "ShapeMismatch",
-    "StepRecord",
     "StepTrace",
-    "SweepCheck",
-    "SweepFailure",
     "SweepReport",
     "ZERO",
-    "canonical_sequences",
-    "child_word",
-    "closed_form_stop",
     "count_ewords_of_length",
     "e_word",
-    "e_word_integer",
-    "e_word_reciprocal",
     "enumerate_ewords",
-    "evaluate_entries",
-    "exponent_form_check",
     "farey_level",
-    "farey_sum",
-    "from_continued_fraction",
-    "initial_pair",
-    "is_farey_neighbor",
-    "matches_excluded_row",
-    "neighbor_pairs",
-    "normalize",
-    "oracle_e_word",
-    "oracle_parents",
     "parents",
-    "parity_pattern",
-    "parse_continued_fraction",
     "parse_rational",
     "rational_indices",
-    "recursion_call_count",
     "run_esequence",
     "run_preserving",
-    "sign_rule",
     "step",
     "sweep",
-    "table_sequences",
     "to_continued_fraction",
 ]

@@ -187,8 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main() call
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, MemoryError, OverflowError) as exc:

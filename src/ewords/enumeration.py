@@ -19,7 +19,7 @@ flipped.
 
 from __future__ import annotations
 
-from .farey import INFINITY, ZERO, ExtRational, farey_sum, to_continued_fraction
+from .farey import INFINITY, ZERO, ExtRational, to_continued_fraction
 from .stepper import GeneratorPair, run_preserving
 from .word import FreeWord
 
@@ -74,55 +74,6 @@ def e_word(x: ExtRational, mode: str = "orphan") -> FreeWord:
     return pair.left if len(entries) % 2 else pair.right
 
 
-def child_word(
-    x: ExtRational, wx: FreeWord, y: ExtRational, wy: FreeWord
-) -> tuple[ExtRational, FreeWord]:
-    """Word at the mediant of two nonnegative Farey neighbors x < y.
-
-    Takes the neighbors' words on trust and only arranges the product:
-    upper first when the mediant has odd numerator * denominator, lower
-    first otherwise.
-    """
-    if x.is_negative or y.is_negative:
-        raise ValueError(f"indices must be nonnegative: {x}, {y}")
-    if not x < y:
-        raise ValueError(f"expected {x} < {y}")
-    child = farey_sum(x, y)
-    odd = (child.p * child.q) % 2 == 1
-    return child, (wy * wx if odd else wx * wy)
-
-
-# Parity profile ('e'/'o' for p, q, r, s) of an ordered neighbor pair
-# p/q < r/s determines the parity of the mediant's numerator * denominator.
-# Exactly these six profiles can occur.
-PARITY_ROWS = {
-    ("e", "o", "o", "e"): "odd",
-    ("o", "o", "e", "o"): "even",
-    ("o", "o", "o", "e"): "even",
-    ("o", "e", "e", "o"): "odd",
-    ("e", "o", "o", "o"): "even",
-    ("o", "e", "o", "o"): "even",
-}
-
-# Impossible profiles (None = either parity): a numerator-denominator pair
-# in lowest terms is never even/even, and the neighbor determinant rules
-# out the three alternating/all-odd shapes.
-EXCLUDED_ROWS = (
-    ("e", "e", None, None),
-    (None, None, "e", "e"),
-    ("e", "o", "e", "o"),
-    ("o", "e", "o", "e"),
-    ("o", "o", "o", "o"),
-)
-
-
-def parity_pattern(x: ExtRational, y: ExtRational) -> tuple[str, str, str, str]:
-    """('e'/'o' for p, q, r, s) of an ordered pair x = p/q, y = r/s."""
-    return tuple("o" if v % 2 else "e" for v in (x.p, x.q, y.p, y.q))
-
-
-def matches_excluded_row(pattern: tuple[str, str, str, str]) -> bool:
-    return any(
-        all(want is None or want == got for want, got in zip(row, pattern))
-        for row in EXCLUDED_ROWS
-    )
+# PARITY_ROWS stays importable from here for existing callers.  The import
+# comes last because verify imports this module.
+from .verify import PARITY_ROWS  # noqa: E402,F401

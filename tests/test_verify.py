@@ -12,6 +12,7 @@ from ewords import (
     parents,
 )
 from ewords.verify import (
+    _oracle_word,
     count_ewords_of_length,
     canonical_sequences,
     enumerate_ewords,
@@ -116,6 +117,24 @@ class TestEnumerate:
     def test_modes(self):
         assert enumerate_ewords(8, mode="shortcut") == enumerate_ewords(8)
 
+    @pytest.mark.parametrize("mode", ["orphan", "shortcut"])
+    def test_descent_matches_per_index_walk(self, mode):
+        # same keys in the same order and the same runs as one e_word per index
+        walked = {x: e_word(x, mode).runs for x in rational_indices(60)}
+        for bound in range(1, 61):
+            table = enumerate_ewords(bound, mode)
+            indices = rational_indices(bound)
+            assert list(table) == indices, bound
+            assert [w.runs for w in table.values()] == [walked[x] for x in indices], bound
+
+    def test_bad_mode_at_bound_one(self):
+        with pytest.raises(ValueError, match="mode"):
+            enumerate_ewords(1, mode="fast")
+
+    def test_bad_bound(self):
+        with pytest.raises(ValueError):
+            enumerate_ewords(0)
+
 
 class TestCounting:
     @pytest.mark.parametrize("n,count", [(2, 2), (4, 4), (5, 8)])
@@ -211,6 +230,59 @@ class TestSweep:
         assert report.to_dict()["checks"][0]["failures"] == [
             {"input": f"{i}/1", "expected": "a", "got": "b"} for i in range(7)
         ]
+
+
+class TestSharedOracleMemo:
+    def test_shared_memo_matches_fresh_oracle(self):
+        # one memo across a whole shell, as the sweep keeps it, in shell order
+        memo: dict = {}
+        for x in rational_indices(20):
+            assert _oracle_word(x, memo) == oracle_e_word(x), x
+        assert set(memo) == set(rational_indices(20))
+
+
+def _expected_tested(bound: int) -> dict[str, int]:
+    """Instances each sweep check covers, counted from the shell itself."""
+    indices = rational_indices(bound)
+    positive = [x for x in indices if not (x.is_negative or x.is_orphan)]
+    finite_nonneg = [x for x in indices if not (x.is_negative or x.is_infinite)]
+    finite_positive = [x for x in positive if not x.is_infinite]
+    pairs = neighbor_pairs(bound)
+    nonneg_pairs = neighbor_pairs(bound, include_negative=False)
+    return {
+        "parents-vs-splitting-oracle": len(positive),
+        "parents-rebuild": len(positive),
+        "level-parent-recursion": len(positive),
+        "cf-roundtrip": len(finite_nonneg),
+        "word-vs-oracle": len(indices),
+        "mode-equivalence": len(indices),
+        "shortcut-closed-forms": (2 * bound - 1) + (2 * bound - 2),
+        "shortcut-call-reduction": sum(x.q >= 2 and abs(x.p) >= 2 for x in indices),
+        "palindrome-parity": len(indices),
+        "length-law": len(indices),
+        "exponent-sums": len(indices),
+        "neighbor-palindrome": len(pairs),
+        "parity-table": len(pairs),
+        "mediant-betweenness": len(pairs),
+        "child-product-rule": len(nonneg_pairs),
+        "stepper-vs-enumeration": len(finite_positive),
+        "stepper-ewordness": len(finite_positive),
+        "stepper-approximants": len(finite_positive),
+        "stopping-exponent-form": len(finite_positive),
+        "closed-form-tables": len(table_sequences(min(bound, 5))),
+        "run-preserving-vs-steps": 7 * 2 * min(bound, 6),
+        "length-counting": min(bound, 12) - 1,
+    }
+
+
+class TestSweepCounts:
+    @pytest.mark.parametrize("bound", [2, 5, 11])
+    def test_names_and_tested_counts(self, bound):
+        data = sweep(bound).to_dict()
+        got = {c["name"]: c["tested"] for c in data["checks"]}
+        assert [c["name"] for c in data["checks"]] == list(_expected_tested(bound))
+        assert got == _expected_tested(bound)
+        assert data["ok"] is True
 
 
 class TestLevelsAgainstTree:
