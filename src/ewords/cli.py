@@ -15,13 +15,24 @@ import sys
 
 from .enumeration import MODES, e_word
 from .farey import farey_level, parents, parse_rational, to_continued_fraction
-from .stepper import ESequence, run_esequence
+from .stepper import ESequence, _arrow_chain, run_esequence
 from .verify import count_ewords_of_length, sweep
-from .word import ALPHABETS
+from .word import ALPHABETS, FreeWord
 
 
 def _print_json(data: dict) -> None:
     print(json.dumps(data, indent=2))
+
+
+def _json_runs(w: FreeWord, alphabet: str) -> str:
+    """json.dumps(w.to_pairs(alphabet), indent=2) as a top-level dict's value, from
+    one template per distinct run: the indenting encoder is pure Python and slow."""
+    texts = dict.fromkeys(w.runs)
+    for run in texts:
+        ((letter, e),) = FreeWord._trusted((run,)).to_pairs(alphabet)
+        texts[run] = f'\n    [\n      "{letter}",\n      {e}\n    ]'
+    body = ",".join(map(texts.__getitem__, w.runs))
+    return f"[{body}\n  ]" if body else "[]"
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -31,40 +42,33 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if "^-" in rendered:
         print("note: word has negative exponents", file=sys.stderr)
     if args.format == "json":
-        _print_json(
-            {
-                "index": str(x),
-                "mode": args.mode,
-                "alphabet": args.alphabet,
-                "word": rendered,
-                "runs": w.to_pairs(args.alphabet),
-                "length": w.length,
-                "palindrome": w.is_palindrome(),
-            }
-        )
+        data = {
+            "index": str(x),
+            "mode": args.mode,
+            "alphabet": args.alphabet,
+            "word": rendered,
+            "runs": [],
+            "length": w.length,
+            "palindrome": w.is_palindrome(),
+        }
+        head, _, tail = json.dumps(data, indent=2).partition('"runs": []')
+        print(head, '"runs": ', _json_runs(w, args.alphabet), tail, sep="")
     else:
         print(rendered)
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    seq = ESequence.parse(args.esequence)
-    trace = run_esequence(seq)
+    data = run_esequence(ESequence.parse(args.esequence)).to_dict(args.alphabet)
     if args.format == "json":
-        _print_json(trace.to_dict(args.alphabet))
+        _print_json(data)
         return 0
-    lines, word_text = trace._render_lines(args.alphabet)
-    for line in lines:
-        print(line)
-    final = trace.final
-    word = trace.last_changed_word
-    print(f"value: {seq.value()}")
-    print(f"final indices: {final.left_index}, {final.right_index}")
-    print(
-        f"last changed: {trace.last_changed_side} = {word_text}"
-        f"  [index {trace.last_changed_index}]"
-    )
-    print(f"exponent sums: a={word.exponent_sum('a')} b={word.exponent_sum('b')}")
+    final, last = data["steps"][-1], data["last_changed"]
+    print(*_arrow_chain(data), sep="\n")
+    print(f"value: {data['value']}")
+    print(f"final indices: {final['left_index']}, {final['right_index']}")
+    print(f"last changed: {last['side']} = {last['word']}  [index {last['index']}]")
+    print("exponent sums: a={a} b={b}".format(**last["exponent_sums"]))
     return 0
 
 

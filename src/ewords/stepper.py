@@ -12,13 +12,16 @@ left, and a leading 0 skips straight to the left-preserving block.  After
 the run the side changed last carries the word indexed by the sequence's
 value.  A block of n same-side steps collapses to one rule, A^x M A^(n-x)
 for the preserved word A, and for short sequences the whole stopping pair
-has closed forms.
+has closed forms.  A trace renders without formatting its long words:
+each word after the start is a seam product of the previous pair, so its
+text is its factors' texts joined, with one token spliced in where the
+seam runs merged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import accumulate
 
 from .farey import (
     INFINITY,
@@ -149,11 +152,41 @@ def run_preserving(pair: GeneratorPair, preserve: str, n: int) -> GeneratorPair:
     return GeneratorPair(anchor, new, ai, mi) if left else GeneratorPair(new, anchor, mi, ai)
 
 
-def _word_texts(alphabet: str) -> Callable[[FreeWord], str]:
-    # FreeWord.format once per word object, for one render of a trace: the
-    # trace holds every word while it renders, so no id() is reused.
-    texts: dict[int, str] = {}
-    return lambda w: texts.get(id(w)) or texts.setdefault(id(w), w.format(alphabet))
+def _spell(w: FreeWord, known: tuple[tuple[FreeWord, str], ...], alphabet: str) -> str:
+    """w's text from the texts of known words: a kept word's own text, or
+    the texts of a seam product's factors joined, with one new token
+    spliced in where the seam runs merged.  Anything else (a cancellation,
+    a word that is no such product) is formatted afresh.
+    """
+    r = w.runs
+    for (x, tx), (y, ty) in zip(known, known[::-1]):
+        u, v = x.runs, y.runs
+        # lengths first: tuple == has no length shortcut, and u may be r's prefix
+        if len(u) == len(r) and u == r:
+            return tx
+        if not (u and v):
+            continue
+        if u[-1][0] != v[0][0]:
+            if len(u) + len(v) == len(r) and u + v == r:
+                return f"{tx} {ty}"
+        elif len(u) + len(v) - 1 == len(r) and (e := u[-1][1] + v[0][1]):
+            seam = ((v[0][0], e),)
+            if u[:-1] + seam + v[1:] == r:
+                tail = ty[ty.find(" ") :] if " " in ty else ""
+                return tx[: tx.rfind(" ") + 1] + FreeWord._trusted(seam).format(alphabet) + tail
+    return w.format(alphabet)
+
+
+def _arrow_chain(data: dict) -> list[str]:
+    # StepTrace.format_lines from its to_dict(), which the CLI prints more of
+    lines = ["({left}, {right})".format(**data["initial"])]
+    for d in data["steps"]:
+        mark = "L" if d["preserved"] == "left" else "R"
+        lines.append(
+            f"→ ({d['left']}, {d['right']})  [preserved: {mark}]  "
+            f"[indices: {d['left_index']}, {d['right_index']}]"
+        )
+    return lines
 
 
 @dataclass(frozen=True)
@@ -190,59 +223,40 @@ class StepTrace:
 
     def block_ends(self) -> tuple[GeneratorPair, ...]:
         """State after each entry's block of steps (a leading 0 keeps the start)."""
-        out = []
-        pos = 0
-        for n in self.sequence.entries:
-            pos += n
-            out.append(self.initial if pos == 0 else self.steps[pos - 1].pair)
-        return tuple(out)
+        pairs = (self.initial, *(rec.pair for rec in self.steps))
+        return tuple(pairs[pos] for pos in accumulate(self.sequence.entries))
 
     def format_lines(self, alphabet: str = "ab") -> list[str]:
         """The run as an arrow chain, one line per step."""
-        return self._render_lines(alphabet)[0]
-
-    def _render_lines(self, alphabet: str) -> tuple[list[str], str]:
-        # format_lines plus the last-changed word's text, from one memo
-        fmt = _word_texts(alphabet)
-
-        def pair_text(pair: GeneratorPair) -> str:
-            return f"({fmt(pair.left)}, {fmt(pair.right)})"
-
-        lines = [pair_text(self.initial)]
-        for rec in self.steps:
-            mark = "L" if rec.preserved == "left" else "R"
-            lines.append(
-                f"→ {pair_text(rec.pair)}  [preserved: {mark}]  "
-                f"[indices: {rec.pair.left_index}, {rec.pair.right_index}]"
-            )
-        return lines, fmt(self.last_changed_word)
+        return _arrow_chain(self.to_dict(alphabet))
 
     def to_dict(self, alphabet: str = "ab") -> dict:
-        fmt = _word_texts(alphabet)
-
-        def pair_dict(pair: GeneratorPair) -> dict:
-            return {
-                "left": fmt(pair.left),
-                "right": fmt(pair.right),
-                "left_index": str(pair.left_index),
-                "right_index": str(pair.right_index),
-            }
-
+        dicts, known = [], ()
+        for pair in (self.initial, *(rec.pair for rec in self.steps)):
+            left, right = _spell(pair.left, known, alphabet), _spell(pair.right, known, alphabet)
+            known = ((pair.left, left), (pair.right, right))
+            dicts.append(
+                {
+                    "left": left,
+                    "right": right,
+                    "left_index": str(pair.left_index),
+                    "right_index": str(pair.right_index),
+                }
+            )
+        entries = self.sequence.entries
         word = self.last_changed_word
         return {
-            "esequence": list(self.sequence.entries),
+            "esequence": list(entries),
             "value": str(self.sequence.value()),
-            "initial": pair_dict(self.initial),
-            "steps": [
-                {"preserved": rec.preserved, **pair_dict(rec.pair)} for rec in self.steps
-            ],
+            "initial": dicts[0],
+            "steps": [{"preserved": rec.preserved, **d} for rec, d in zip(self.steps, dicts[1:])],
             "blocks": [
-                {"entry": n, "position": i, **pair_dict(pair)}
-                for i, (n, pair) in enumerate(zip(self.sequence.entries, self.block_ends()))
+                {"entry": n, "position": i, **dicts[pos]}
+                for i, (n, pos) in enumerate(zip(entries, accumulate(entries)))
             ],
             "last_changed": {
                 "side": self.last_changed_side,
-                "word": fmt(word),
+                "word": dicts[-1][self.last_changed_side],
                 "index": str(self.last_changed_index),
                 "exponent_sums": {
                     "a": word.exponent_sum("a"),

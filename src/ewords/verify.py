@@ -58,16 +58,30 @@ def rational_indices(bound: int) -> list[ExtRational]:
 def neighbor_pairs(
     bound: int, include_negative: bool = True
 ) -> list[tuple[ExtRational, ExtRational]]:
-    """Ordered Farey-neighbor pairs (x < y) with both indices in the shell."""
-    idx = rational_indices(bound)
-    if not include_negative:
-        idx = [z for z in idx if not z.is_negative]
-    return [
-        (x, y)
-        for i, x in enumerate(idx)
-        for y in idx[i + 1 :]
-        if is_farey_neighbor(x, y)
-    ]
+    """Ordered Farey-neighbor pairs (x < y) with both indices in the shell.
+
+    One Stern-Brocot descent from -1/0 (or from 0/1 without negatives)
+    meets the indices in increasing order.  The larger neighbors of x are
+    its upper bracket end u and the mediants u + kx, which the stack holds
+    from u up to its top once x can push no more.  -1/0 is ∞ seen from
+    below, so a negative integer's pair with it is taken as (x, ∞).
+    """
+    if bound < 1:
+        raise ValueError(f"bound must be positive: {bound}")
+    lo, ups = ((-1, 0), [(1, 0), (0, 1)]) if include_negative else ((0, 1), [(1, 0)])
+    base, pairs = len(ups) - 1, []
+    while ups:
+        (p, q), (r, s) = lo, ups[-1]
+        if abs(p + r) + q + s <= bound:
+            ups.append((p + r, q + s))
+            continue
+        if q:
+            x = ExtRational(p, q)
+            pairs += [(x, ExtRational(*y)) for y in reversed(ups[base:])]
+            pairs += [(x, INFINITY)] * (p < 0 and q == 1)
+        lo = ups.pop()
+        base = len(ups) - 1
+    return pairs
 
 
 def oracle_parents(x: ExtRational) -> tuple[ExtRational, ExtRational]:
@@ -471,13 +485,6 @@ def _child_product_cases(
         yield m == farey_sum(x, y) and w == want, (x, y), want, w
 
 
-def _trace_word(
-    words: dict[ExtRational, FreeWord], idx: ExtRational
-) -> FreeWord:
-    w = words.get(idx)
-    return w if w is not None else e_word(idx)
-
-
 def _stepper_enumeration_cases(
     traces: dict[ExtRational, StepTrace], words: dict[ExtRational, FreeWord]
 ) -> Iterator[Case]:
@@ -502,8 +509,8 @@ def _stepper_ewordness_cases(
             )
             ok = (
                 kept
-                and pair.left == _trace_word(words, pair.left_index)
-                and pair.right == _trace_word(words, pair.right_index)
+                and pair.left == words.get(pair.left_index)
+                and pair.right == words.get(pair.right_index)
             )
             if not ok:
                 break

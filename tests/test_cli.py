@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import shlex
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ewords import ESequence, FreeWord, run_esequence
-from ewords.cli import build_parser, main
+from ewords import ESequence, FreeWord, e_word, parse_rational, run_esequence
+from ewords.cli import _json_runs, build_parser, main
 from ewords.verify import canonical_sequences
+
+from test_word import words
 
 
 def run(capsys, *argv):
@@ -69,6 +75,44 @@ class TestCompute:
         assert FreeWord.parse(data["word"]) == FreeWord.from_runs(
             (g, e) for g, e in data["runs"]
         )
+
+    @pytest.mark.parametrize("index", ["0", "inf", "1", "-1", "5/3", "-2/3", "-7/4", "68/13"])
+    @pytest.mark.parametrize("alphabet", ["ab", "AB"])
+    def test_json_bytes(self, capsys, index, alphabet):
+        code, out, _ = run(capsys, "compute", index, "--format", "json", "--alphabet", alphabet)
+        x = parse_rational(index)
+        w = e_word(x)
+        data = {
+            "index": str(x),
+            "mode": "orphan",
+            "alphabet": alphabet,
+            "word": w.format(alphabet),
+            "runs": w.to_pairs(alphabet),
+            "length": w.length,
+            "palindrome": w.is_palindrome(),
+        }
+        assert (code, out) == (0, json.dumps(data, indent=2) + "\n")
+
+    @example(FreeWord.identity(), "ab")
+    @example(FreeWord.parse("a^-2 b^-1 a^3"), "AB")
+    @given(words, st.sampled_from(["ab", "AB"]))
+    def test_json_runs_match_encoder(self, w, alphabet):
+        want = json.dumps({"runs": w.to_pairs(alphabet)}, indent=2)
+        assert '{\n  "runs": ' + _json_runs(w, alphabet) + "\n}" == want
+
+    def test_json_near_one_memory(self, capsys):
+        # 2*10^5 + 1 runs: the runs array is written from the runs, with no
+        # per-run list (the indenting encoder over to_pairs peaked at 65 MB)
+        tracemalloc.start()
+        try:
+            code = main(["compute", "100001/100000", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == 0
+        assert peak < 24 * 2**20
+        assert json.loads(out)["runs"][-2:] == [["a", 1], ["b", 1]]
 
     def test_shortcut_mode(self, capsys):
         code, out, _ = run(capsys, "compute", "7", "--mode", "shortcut")
@@ -206,7 +250,8 @@ class TestTraceRendering:
             assert out == reference_trace(text, fmt, alphabet), text
 
     def test_plain_formats_each_word_once(self, capsys, monkeypatch):
-        # the "last changed:" line reuses the final pair's text
+        # each word is spelled from its factors' texts, and the "last
+        # changed:" line reuses the final pair's; format sees one-run words
         calls = []
         original = FreeWord.format
 
@@ -217,8 +262,30 @@ class TestTraceRendering:
         monkeypatch.setattr(FreeWord, "format", counting)
         code, _, _ = run(capsys, "trace", "[0;3,25,1,2]")
         assert code == 0
-        assert len(calls) == 31 + 2
-        assert len({id(w) for w in calls}) == len(calls)
+        assert len(calls) <= 31 + 2
+        assert all(len(w.runs) <= 1 for w in calls)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.integers(1, 9)),
+            st.builds(
+                lambda n0, mid, last: (n0, *mid, last),
+                st.integers(0, 9),
+                st.lists(st.integers(1, 9), max_size=3),
+                st.integers(2, 9),
+            ),
+        )
+    )
+    def test_random_sequences_match_reference(self, entries):
+        text = str(ESequence(entries))
+        for fmt in ("plain", "json"):
+            for alphabet in ("ab", "AB"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(["trace", text, "--format", fmt, "--alphabet", alphabet])
+                assert code == 0
+                assert out.getvalue() == reference_trace(text, fmt, alphabet), (fmt, alphabet)
 
 
 class TestIndexCommands:

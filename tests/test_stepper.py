@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from ewords import (
     FreeWord,
     GeneratorPair,
     ShapeMismatch,
+    StepRecord,
+    StepTrace,
     closed_form_stop,
     e_word,
     evaluate_entries,
@@ -263,18 +267,76 @@ class TestRunESequence:
     @pytest.mark.parametrize("render", ["format_lines", "to_dict"])
     @pytest.mark.parametrize("entries", [(1,), (0, 3, 4), (5, 4, 3), (40, 1, 2, 30)])
     def test_renders_each_word_once(self, monkeypatch, render, entries):
-        # n steps make n + 2 distinct words; each is formatted exactly once
+        # n steps make n + 2 distinct words; each is spelled from its factors'
+        # texts, so format sees only one-run words (start words, seam tokens)
         trace = run_esequence(ESequence(entries))
         calls = []
         original = FreeWord.format
 
         def counting(self, alphabet="ab"):
-            calls.append(alphabet)
+            calls.append((len(self.runs), alphabet))
             return original(self, alphabet)
 
         monkeypatch.setattr(FreeWord, "format", counting)
         getattr(trace, render)("AB")
-        assert calls == ["AB"] * (len(trace.steps) + 2)
+        assert len(calls) <= len(trace.steps) + 2
+        assert all(runs <= 1 and alphabet == "AB" for runs, alphabet in calls)
+
+    @pytest.mark.parametrize(
+        "start, words, fallback",
+        [
+            # seam merges in both orders, then a plain join
+            (["a b", "b^2 a"], ["a b^3 a", "b^2 a^2 b^3 a", "a b^3 a b^2 a^2 b^3 a"], None),
+            # the seam cancels: (a b a^2 b)(b^-1 a^-2 b a) = a b^2 a
+            (
+                ["a b a^2 b", "b^-1 a^-2 b a"],
+                [
+                    "a b^2 a",
+                    "a b^2 a b^-1 a^-2 b a",
+                    "a b^2 a b^-1 a^-2 b a^2 b^2 a",
+                ],
+                "a b^2 a",
+            ),
+            # not a product of the pair
+            (["a", "b"], ["b a^3 b", "b a^3 b^2", "b a^3 b^2 a^3 b^2"], "b a^3 b"),
+            # the identity: a factor, then a step's word
+            (["1", "b"], ["b", "b^2", "1"], "1"),
+        ],
+    )
+    @pytest.mark.parametrize("alphabet", ["ab", "AB"])
+    def test_hand_built_traces_render_like_format(
+        self, monkeypatch, start, words, fallback, alphabet
+    ):
+        # [1;2] changes the left word once, then the right word twice
+        real = run_esequence(ESequence((1, 2)))
+        pairs = [replace(real.initial, left=W(start[0]), right=W(start[1]))]
+        for rec, word in zip(real.steps, words):
+            side = "left" if rec.preserved == "right" else "right"
+            kept = getattr(pairs[-1], rec.preserved)
+            pairs.append(replace(rec.pair, **{side: W(word), rec.preserved: kept}))
+        records = tuple(StepRecord(r.preserved, p) for r, p in zip(real.steps, pairs[1:]))
+        trace = StepTrace(real.sequence, pairs[0], records)
+        want = [(p.left.format(alphabet), p.right.format(alphabet)) for p in pairs]
+        formatted = []
+        original = FreeWord.format
+
+        def recording(self, alphabet="ab"):
+            formatted.append(self)
+            return original(self, alphabet)
+
+        monkeypatch.setattr(FreeWord, "format", recording)
+        d = trace.to_dict(alphabet)
+        lines = trace.format_lines(alphabet)
+        assert [(s["left"], s["right"]) for s in (d["initial"], *d["steps"])] == want
+        assert lines == [f"({want[0][0]}, {want[0][1]})"] + [
+            f"→ ({left}, {right})  [preserved: {r.preserved[0].upper()}]  "
+            f"[indices: {r.pair.left_index}, {r.pair.right_index}]"
+            for r, (left, right) in zip(records, want[1:])
+        ]
+        # past the start words, format sees only seam tokens and the fallback
+        later = [w for w in formatted if w is not pairs[0].left and w is not pairs[0].right]
+        unspelled = {w for w in later if len(w.runs) != 1}
+        assert unspelled == ({W(fallback)} if fallback else set())
 
     def test_to_dict(self):
         d = run_esequence(ESequence((0, 3, 4))).to_dict()

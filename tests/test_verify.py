@@ -75,6 +75,25 @@ class TestNeighborPairs:
         pairs = neighbor_pairs(6, include_negative=False)
         assert pairs and all(not x.is_negative for x, _ in pairs)
 
+    def test_descent_matches_all_pairs_search(self):
+        # the list the descent replaced: every ordered pair of shell indices
+        # tested with the neighbor determinant
+        for bound in range(1, 31):
+            idx = rational_indices(bound)
+            for include_negative in (True, False):
+                kept = [z for z in idx if include_negative or not z.is_negative]
+                brute = [
+                    (x, y)
+                    for i, x in enumerate(kept)
+                    for y in kept[i + 1 :]
+                    if abs(x.p * y.q - y.p * x.q) == 1
+                ]
+                assert neighbor_pairs(bound, include_negative) == brute, (bound, include_negative)
+
+    def test_bad_bound(self):
+        with pytest.raises(ValueError):
+            neighbor_pairs(0)
+
 
 class TestOracles:
     def test_oracle_parents_examples(self):
