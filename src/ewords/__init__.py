@@ -41,9 +41,9 @@ from .word import FreeWord
 from .enumeration import e_word_integer, e_word_reciprocal, sign_rule
 from .farey import evaluate_entries, farey_sum, from_continued_fraction
 from .farey import is_farey_neighbor, normalize, parse_continued_fraction
-from .stepper import ShapeMismatch, StepRecord, closed_form_stop, exponent_form_check
-from .stepper import initial_pair
-from .verify import EXCLUDED_ROWS, PARITY_ROWS, SweepCheck, SweepFailure, child_word
+from .stepper import StepRecord, initial_pair
+from .verify import EXCLUDED_ROWS, PARITY_ROWS, ShapeMismatch, SweepCheck, SweepFailure
+from .verify import child_word, closed_form_stop, exponent_form_check
 from .verify import canonical_sequences, matches_excluded_row, neighbor_pairs
 from .verify import oracle_e_word, oracle_parents, parity_pattern, recursion_call_count
 from .verify import table_sequences

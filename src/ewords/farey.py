@@ -116,6 +116,13 @@ def farey_sum(x: ExtRational, y: ExtRational) -> ExtRational:
     return ExtRational(x.p + y.p, x.q + y.q)
 
 
+def _mediant(x: ExtRational, y: ExtRational) -> ExtRational:
+    # farey_sum for x, y already known to be neighbors: skips both checks
+    m = object.__new__(ExtRational)
+    m.__dict__.update(p=x.p + y.p, q=x.q + y.q)
+    return m
+
+
 @dataclass(frozen=True)
 class ContinuedFraction:
     """Canonical continued fraction [a0; a1, ..., ak] of a nonnegative rational.

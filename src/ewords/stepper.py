@@ -11,25 +11,24 @@ positions spend their steps preserving the right word, odd positions the
 left, and a leading 0 skips straight to the left-preserving block.  After
 the run the side changed last carries the word indexed by the sequence's
 value.  A block of n same-side steps collapses to one rule, A^x M A^(n-x)
-for the preserved word A, and for short sequences the whole stopping pair
-has closed forms.  A trace renders without formatting its long words:
-each word after the start is a seam product of the previous pair, so its
-text is its factors' texts joined, with one token spliced in where the
-seam runs merged.
+for the preserved word A.  run_esequence trusts its own steps: it forms
+unchecked mediants, takes each product order from the indices (the word
+at p/q is a palindrome exactly when pq is even), and its trace spells
+each new word from the previous pair's texts in that order, with one
+token spliced in where the seam runs merge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .farey import (
     INFINITY,
     ZERO,
     ExtRational,
-    _bracket,
+    _mediant,
     evaluate_entries,
-    farey_sum,
     format_entries,
     is_farey_neighbor,
     parse_bracketed_entries,
@@ -37,10 +36,6 @@ from .farey import (
 from .word import FreeWord
 
 SIDES = ("left", "right")
-
-
-class ShapeMismatch(ValueError):
-    """Entry sequence not covered by the stopping-pair tables."""
 
 
 @dataclass(frozen=True)
@@ -100,6 +95,13 @@ class GeneratorPair:
                 f"indices are not Farey neighbors: {self.left_index}, {self.right_index}"
             )
 
+    @staticmethod
+    def _trusted(left, right, li, ri) -> "GeneratorPair":
+        # For indices known to be ordered neighbors: skips __post_init__.
+        pair = object.__new__(GeneratorPair)
+        pair.__dict__.update(left=left, right=right, left_index=li, right_index=ri)
+        return pair
+
 
 def initial_pair() -> GeneratorPair:
     return GeneratorPair(FreeWord.letter("a"), FreeWord.letter("b"), ZERO, INFINITY)
@@ -113,12 +115,22 @@ def _check_side(preserve: str) -> None:
 def step(pair: GeneratorPair, preserve: str) -> GeneratorPair:
     """One replacement step keeping the named side."""
     _check_side(preserve)
-    both = pair.left.is_palindrome() and pair.right.is_palindrome()
+    return _step(pair, preserve, pair.left.is_palindrome() and pair.right.is_palindrome())
+
+
+def _step(pair: GeneratorPair, preserve: str, both: bool) -> GeneratorPair:
+    # a valid pair's mediant is a valid index, neighbor to each end
     product = pair.right * pair.left if both else pair.left * pair.right
-    child = farey_sum(pair.left_index, pair.right_index)
+    child = _mediant(pair.left_index, pair.right_index)
     if preserve == "left":
-        return GeneratorPair(pair.left, product, pair.left_index, child)
-    return GeneratorPair(product, pair.right, child, pair.right_index)
+        return GeneratorPair._trusted(pair.left, product, pair.left_index, child)
+    return GeneratorPair._trusted(product, pair.right, child, pair.right_index)
+
+
+def _both_even(pair: GeneratorPair) -> bool:
+    # pq even at both indices: on machine pairs, both words are palindromes
+    x, y = pair.left_index, pair.right_index
+    return not (x.p & x.q | y.p & y.q) & 1
 
 
 def run_preserving(pair: GeneratorPair, preserve: str, n: int) -> GeneratorPair:
@@ -153,28 +165,27 @@ def run_preserving(pair: GeneratorPair, preserve: str, n: int) -> GeneratorPair:
 
 
 def _spell(w: FreeWord, known: tuple[tuple[FreeWord, str], ...], alphabet: str) -> str:
-    """w's text from the texts of known words: a kept word's own text, or
-    the texts of a seam product's factors joined, with one new token
-    spliced in where the seam runs merged.  Anything else (a cancellation,
-    a word that is no such product) is formatted afresh.
+    """w's text from known (word, text) pairs: a kept word's own text, or
+    the text of a seam product of two of them.  Anything else (a
+    cancellation, a word that is no such product) is formatted afresh.
     """
-    r = w.runs
-    for (x, tx), (y, ty) in zip(known, known[::-1]):
-        u, v = x.runs, y.runs
-        # lengths first: tuple == has no length shortcut, and u may be r's prefix
-        if len(u) == len(r) and u == r:
-            return tx
-        if not (u and v):
-            continue
-        if u[-1][0] != v[0][0]:
-            if len(u) + len(v) == len(r) and u + v == r:
-                return f"{tx} {ty}"
-        elif len(u) + len(v) - 1 == len(r) and (e := u[-1][1] + v[0][1]):
-            seam = ((v[0][0], e),)
-            if u[:-1] + seam + v[1:] == r:
-                tail = ty[ty.find(" ") :] if " " in ty else ""
-                return tx[: tx.rfind(" ") + 1] + FreeWord._trusted(seam).format(alphabet) + tail
+    for x, y in zip(known, known[::-1]):
+        if x[0] == w:
+            return x[1]
+        u, v = x[0].runs, y[0].runs
+        if u and v and v[0] != (u[-1][0], -u[-1][1]) and x[0] * y[0] == w:
+            return _seam_text(x, y, alphabet)
     return w.format(alphabet)
+
+
+def _seam_text(x: tuple[FreeWord, str], y: tuple[FreeWord, str], alphabet: str) -> str:
+    # text of x y when its seam does not cancel: one new token where the runs merge
+    (g, e), (h, f) = x[0].runs[-1], y[0].runs[0]
+    tx, ty = x[1], y[1]
+    if g != h:
+        return f"{tx} {ty}"
+    tail = ty[ty.find(" ") :] if " " in ty else ""
+    return tx[: tx.rfind(" ") + 1] + FreeWord._trusted(((g, e + f),)).format(alphabet) + tail
 
 
 def _arrow_chain(data: dict) -> list[str]:
@@ -202,6 +213,8 @@ class StepTrace:
     sequence: ESequence
     initial: GeneratorPair
     steps: tuple[StepRecord, ...]
+    # set by run_esequence alone: its steps are the machine's own products
+    _by_machine: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def final(self) -> GeneratorPair:
@@ -231,18 +244,21 @@ class StepTrace:
         return _arrow_chain(self.to_dict(alphabet))
 
     def to_dict(self, alphabet: str = "ab") -> dict:
-        dicts, known = [], ()
-        for pair in (self.initial, *(rec.pair for rec in self.steps)):
-            left, right = _spell(pair.left, known, alphabet), _spell(pair.right, known, alphabet)
-            known = ((pair.left, left), (pair.right, right))
-            dicts.append(
-                {
-                    "left": left,
-                    "right": right,
-                    "left_index": str(pair.left_index),
-                    "right_index": str(pair.right_index),
-                }
-            )
+        pairs = (self.initial, *(rec.pair for rec in self.steps))
+        left, right = self.initial.left.format(alphabet), self.initial.right.format(alphabet)
+        texts = [(left, right)]
+        for prev, pair, rec in zip(pairs, pairs[1:], self.steps):
+            known = ((prev.left, left), (prev.right, right))
+            if self._by_machine:  # the changed word is the product in the parity order
+                word = _seam_text(*known[:: -1 if _both_even(prev) else 1], alphabet)
+                left, right = (left, word) if rec.preserved == "left" else (word, right)
+            else:
+                left, right = (_spell(w, known, alphabet) for w in (pair.left, pair.right))
+            texts.append((left, right))
+        dicts = [
+            dict(left=lt, right=rt, left_index=str(p.left_index), right_index=str(p.right_index))
+            for p, (lt, rt) in zip(pairs, texts)
+        ]
         entries = self.sequence.entries
         word = self.last_changed_word
         return {
@@ -258,132 +274,20 @@ class StepTrace:
                 "side": self.last_changed_side,
                 "word": dicts[-1][self.last_changed_side],
                 "index": str(self.last_changed_index),
-                "exponent_sums": {
-                    "a": word.exponent_sum("a"),
-                    "b": word.exponent_sum("b"),
-                },
+                "exponent_sums": {g: word.exponent_sum(g) for g in "ab"},
             },
         }
 
 
 def run_esequence(seq: ESequence) -> StepTrace:
     """Drive the machine from (a, b) through every step of the sequence."""
-    start = initial_pair()
-    pair = start
+    pair = start = initial_pair()
     records = []
     for i, n in enumerate(seq.entries):
         side = "right" if i % 2 == 0 else "left"
         for _ in range(n):
-            pair = step(pair, side)
+            pair = _step(pair, side, _both_even(pair))
             records.append(StepRecord(side, pair))
-    return StepTrace(seq, start, tuple(records))
-
-
-def closed_form_stop(seq: ESequence) -> GeneratorPair:
-    """Stopping pair of a short sequence straight from the tables.
-
-    Covers [n0; n1] and [n0; 1, n2] for n0 >= 1, and [0; n1, n2] and
-    [0; n1, 1, n3].  A final entry of 1 is fine; the negative powers the
-    formulas then produce cancel on reduction.  Anything else raises
-    ShapeMismatch so the caller can fall back to run_esequence.
-    """
-    e = seq.entries
-    a, b = FreeWord.letter("a"), FreeWord.letter("b")
-    n0 = e[0]
-    if n0 > 0 and len(e) == 2:
-        n1 = e[1]
-        m0, big0 = n0 // 2, (n0 + 1) // 2
-        if n0 % 2:
-            left = b**big0 * a * b**m0
-            right = b**big0 * (a * b**n0) ** (n1 - 1) * a * b**big0
-        else:
-            m1, big1 = n1 // 2, (n1 + 1) // 2
-            left = b**m0 * a * b**m0
-            right = (
-                b**m0 * (a * b**n0) ** (m1 - 1) * a * b ** (n0 + 1)
-                * (a * b**n0) ** (big1 - 1) * a * b**m0
-            )
-    elif n0 > 0 and len(e) == 3 and e[1] == 1:
-        n2 = e[2]
-        m0, big0 = n0 // 2, (n0 + 1) // 2
-        if n0 % 2:
-            m2, big2 = n2 // 2, (n2 + 1) // 2
-            left = (
-                b**big0 * (a * b ** (n0 + 1)) ** m2 * a * b**n0
-                * (a * b ** (n0 + 1)) ** (big2 - 1) * a * b**big0
-            )
-            right = b**big0 * a * b**big0
-        else:
-            left = b**m0 * (a * b ** (n0 + 1)) ** n2 * a * b**m0
-            right = b ** (m0 + 1) * a * b**m0
-    elif n0 == 0 and len(e) == 3:
-        n1, n2 = e[1], e[2]
-        m1, big1 = n1 // 2, (n1 + 1) // 2
-        if n1 % 2:
-            left = a**big1 * (b * a**n1) ** (n2 - 1) * b * a**big1
-            right = a**m1 * b * a**big1
-        else:
-            m2, big2 = n2 // 2, (n2 + 1) // 2
-            left = (
-                a**m1 * (b * a**n1) ** (big2 - 1) * b * a ** (n1 + 1)
-                * (b * a**n1) ** (m2 - 1) * b * a**m1
-            )
-            right = a**m1 * b * a**m1
-    elif n0 == 0 and len(e) == 4 and e[2] == 1:
-        n1, n3 = e[1], e[3]
-        m1, big1 = n1 // 2, (n1 + 1) // 2
-        if n1 % 2:
-            m3, big3 = n3 // 2, (n3 + 1) // 2
-            left = a**big1 * b * a**big1
-            right = (
-                a**big1 * (b * a ** (n1 + 1)) ** (big3 - 1) * b * a**n1
-                * (b * a ** (n1 + 1)) ** m3 * b * a**big1
-            )
-        else:
-            left = a**m1 * b * a ** (m1 + 1)
-            right = a**m1 * (b * a ** (n1 + 1)) ** n3 * b * a**m1
-    else:
-        raise ShapeMismatch(f"{seq} does not match a stopping-pair table shape")
-    return GeneratorPair(left, right, *_bracket(e))
-
-
-def exponent_form_check(word: FreeWord, seq: ESequence) -> bool:
-    """Check a word against the exponent pattern its sequence predicts.
-
-    For [n0; ...] with n0 > 0 the word must read b^k1 a b^k2 a ... a b^kq
-    with boundary exponents in {floor(n0/2), ceil(n0/2)} and interior
-    exponents in {n0, n0+1}; when the sequence has at least four entries
-    both interior values must actually occur.  When n0 == 0 the roles of
-    a and b swap and n1 takes over.  Sequences ending in 1 are rejected:
-    they escape the pattern.
-    """
-    e = seq.entries
-    if len(e) > 1 and e[-1] == 1:
-        raise ValueError("sequence ending in 1 is outside the exponent pattern")
-    if e[0] > 0:
-        block, single, n = "b", "a", e[0]
-        strict = len(e) - 1 >= 3
-    else:
-        block, single, n = "a", "b", e[1]
-        strict = len(e) - 1 >= 4
-    m, big = n // 2, (n + 1) // 2
-    if word.is_identity or not any(g == single for g, _ in word.runs):
-        return False
-    exps = []
-    if word.runs[0][0] == single:
-        exps.append(0)
-    for g, ex in word.runs:
-        if g == block:
-            if ex <= 0:
-                return False
-            exps.append(ex)
-        elif ex != 1:
-            return False
-    if word.runs[-1][0] == single:
-        exps.append(0)
-    interior = exps[1:-1]
-    ok = exps[0] in (m, big) and exps[-1] in (m, big)
-    ok = ok and all(x in (n, n + 1) for x in interior)
-    if strict:
-        ok = ok and set(interior) == {n, n + 1}
-    return ok
+    trace = StepTrace(seq, start, tuple(records))
+    object.__setattr__(trace, "_by_machine", True)
+    return trace

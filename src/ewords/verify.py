@@ -19,6 +19,7 @@ from .farey import (
     INFINITY,
     ZERO,
     ExtRational,
+    _bracket,
     evaluate_entries,
     farey_level,
     farey_sum,
@@ -32,9 +33,8 @@ from .farey import (
 from .stepper import (
     SIDES,
     ESequence,
+    GeneratorPair,
     StepTrace,
-    closed_form_stop,
-    exponent_form_check,
     initial_pair,
     run_esequence,
     run_preserving,
@@ -539,6 +539,120 @@ def _stopping_form_cases(
         yield got, (x, seq), True, got
 
 
+class ShapeMismatch(ValueError):
+    """Entry sequence not covered by the stopping-pair tables."""
+
+
+def closed_form_stop(seq: ESequence) -> GeneratorPair:
+    """Stopping pair of a short sequence straight from the tables.
+
+    Covers [n0; n1] and [n0; 1, n2] for n0 >= 1, and [0; n1, n2] and
+    [0; n1, 1, n3].  A final entry of 1 is fine; the negative powers the
+    formulas then produce cancel on reduction.  Anything else raises
+    ShapeMismatch so the caller can fall back to run_esequence.
+    """
+    e = seq.entries
+    a, b = FreeWord.letter("a"), FreeWord.letter("b")
+    n0 = e[0]
+    if n0 > 0 and len(e) == 2:
+        n1 = e[1]
+        m0, big0 = n0 // 2, (n0 + 1) // 2
+        if n0 % 2:
+            left = b**big0 * a * b**m0
+            right = b**big0 * (a * b**n0) ** (n1 - 1) * a * b**big0
+        else:
+            m1, big1 = n1 // 2, (n1 + 1) // 2
+            left = b**m0 * a * b**m0
+            right = (
+                b**m0 * (a * b**n0) ** (m1 - 1) * a * b ** (n0 + 1)
+                * (a * b**n0) ** (big1 - 1) * a * b**m0
+            )
+    elif n0 > 0 and len(e) == 3 and e[1] == 1:
+        n2 = e[2]
+        m0, big0 = n0 // 2, (n0 + 1) // 2
+        if n0 % 2:
+            m2, big2 = n2 // 2, (n2 + 1) // 2
+            left = (
+                b**big0 * (a * b ** (n0 + 1)) ** m2 * a * b**n0
+                * (a * b ** (n0 + 1)) ** (big2 - 1) * a * b**big0
+            )
+            right = b**big0 * a * b**big0
+        else:
+            left = b**m0 * (a * b ** (n0 + 1)) ** n2 * a * b**m0
+            right = b ** (m0 + 1) * a * b**m0
+    elif n0 == 0 and len(e) == 3:
+        n1, n2 = e[1], e[2]
+        m1, big1 = n1 // 2, (n1 + 1) // 2
+        if n1 % 2:
+            left = a**big1 * (b * a**n1) ** (n2 - 1) * b * a**big1
+            right = a**m1 * b * a**big1
+        else:
+            m2, big2 = n2 // 2, (n2 + 1) // 2
+            left = (
+                a**m1 * (b * a**n1) ** (big2 - 1) * b * a ** (n1 + 1)
+                * (b * a**n1) ** (m2 - 1) * b * a**m1
+            )
+            right = a**m1 * b * a**m1
+    elif n0 == 0 and len(e) == 4 and e[2] == 1:
+        n1, n3 = e[1], e[3]
+        m1, big1 = n1 // 2, (n1 + 1) // 2
+        if n1 % 2:
+            m3, big3 = n3 // 2, (n3 + 1) // 2
+            left = a**big1 * b * a**big1
+            right = (
+                a**big1 * (b * a ** (n1 + 1)) ** (big3 - 1) * b * a**n1
+                * (b * a ** (n1 + 1)) ** m3 * b * a**big1
+            )
+        else:
+            left = a**m1 * b * a ** (m1 + 1)
+            right = a**m1 * (b * a ** (n1 + 1)) ** n3 * b * a**m1
+    else:
+        raise ShapeMismatch(f"{seq} does not match a stopping-pair table shape")
+    return GeneratorPair(left, right, *_bracket(e))
+
+
+def exponent_form_check(word: FreeWord, seq: ESequence) -> bool:
+    """Check a word against the exponent pattern its sequence predicts.
+
+    For [n0; ...] with n0 > 0 the word must read b^k1 a b^k2 a ... a b^kq
+    with boundary exponents in {floor(n0/2), ceil(n0/2)} and interior
+    exponents in {n0, n0+1}; when the sequence has at least four entries
+    both interior values must actually occur.  When n0 == 0 the roles of
+    a and b swap and n1 takes over.  Sequences ending in 1 are rejected:
+    they escape the pattern.
+    """
+    e = seq.entries
+    if len(e) > 1 and e[-1] == 1:
+        raise ValueError("sequence ending in 1 is outside the exponent pattern")
+    if e[0] > 0:
+        block, single, n = "b", "a", e[0]
+        strict = len(e) - 1 >= 3
+    else:
+        block, single, n = "a", "b", e[1]
+        strict = len(e) - 1 >= 4
+    m, big = n // 2, (n + 1) // 2
+    if word.is_identity or not any(g == single for g, _ in word.runs):
+        return False
+    exps = []
+    if word.runs[0][0] == single:
+        exps.append(0)
+    for g, ex in word.runs:
+        if g == block:
+            if ex <= 0:
+                return False
+            exps.append(ex)
+        elif ex != 1:
+            return False
+    if word.runs[-1][0] == single:
+        exps.append(0)
+    interior = exps[1:-1]
+    ok = exps[0] in (m, big) and exps[-1] in (m, big)
+    ok = ok and all(x in (n, n + 1) for x in interior)
+    if strict:
+        ok = ok and set(interior) == {n, n + 1}
+    return ok
+
+
 def table_sequences(max_entry: int) -> list[ESequence]:
     """Every sequence shape the stopping tables cover, entries <= max_entry."""
     seqs = []
@@ -604,7 +718,7 @@ def sweep(bound: int) -> SweepReport:
     The word-vs-oracle comparison runs the literal parent recursion with
     one memo for the whole sweep, but its splitting-search parents still
     make the time grow faster than the shell: about 0.3 s at bound 25,
-    0.6 s at 40 and 2.3 s at 60 on a 2-core Xeon under Python 3.11.
+    0.8 s at 40 and 1.9 s at 60 on a 2-core Xeon under Python 3.11.
     """
     if bound < 2:
         raise ValueError(f"sweep bound must be at least 2, got {bound}")

@@ -1,7 +1,8 @@
+import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ewords import (
@@ -23,6 +24,7 @@ from ewords import (
     run_preserving,
     step,
 )
+from ewords import stepper
 from ewords.verify import canonical_sequences, table_sequences
 
 from test_word import words
@@ -400,3 +402,66 @@ class TestExponentFormCheck:
     def test_whole_family(self):
         for seq in canonical_sequences(3, 3):
             assert exponent_form_check(e_word(seq.value()), seq), seq
+
+
+def iterated_steps(seq):
+    """(side, pair) after every step, each taken by the public step()."""
+    pair, out = initial_pair(), []
+    for i, n in enumerate(seq.entries):
+        side = "right" if i % 2 == 0 else "left"
+        for _ in range(n):
+            pair = step(pair, side)
+            out.append((side, pair))
+    return out
+
+
+class TestMachineTrust:
+    # run_esequence skips index validation, takes each product order from
+    # the indices' parity and spells its trace from the previous pair's texts
+
+    def test_matches_iterated_step_family(self):
+        for seq in canonical_sequences(4, 4):
+            got = [(rec.preserved, rec.pair) for rec in run_esequence(seq).steps]
+            assert got == iterated_steps(seq), seq
+
+    @settings(deadline=None)  # [9;9,9,9,9,9] builds words of 10^5 runs
+    @given(st.integers(0, 9), st.lists(st.integers(1, 9), max_size=5))
+    def test_matches_iterated_step(self, n0, rest):
+        assume((n0, *rest) != (0,))
+        seq = ESequence((n0, *rest))
+        got = [(rec.preserved, rec.pair) for rec in run_esequence(seq).steps]
+        assert got == iterated_steps(seq)
+
+    def test_pairs_pass_validation(self):
+        for seq in canonical_sequences(4, 4):
+            for rec in run_esequence(seq).steps:
+                p = rec.pair
+                indices = [ExtRational(x.p, x.q) for x in (p.left_index, p.right_index)]
+                assert GeneratorPair(p.left, p.right, *indices) == p, seq
+
+    @pytest.mark.parametrize("alphabet", ["ab", "AB"])
+    def test_provenance_is_invisible(self, monkeypatch, alphabet):
+        spelled = []
+        original = stepper._spell
+
+        def counting(w, known, alphabet):
+            spelled.append(w)
+            return original(w, known, alphabet)
+
+        monkeypatch.setattr(stepper, "_spell", counting)
+        seqs = [*canonical_sequences(3, 3), ESequence((40, 1, 2, 30)), ESequence((0, 9, 1, 7, 2))]
+        for seq in seqs:
+            t = run_esequence(seq)
+            copy = StepTrace(t.sequence, t.initial, t.steps)
+            assert t == copy and repr(t) == repr(copy) and hash(t) == hash(copy)
+            d = t.to_dict(alphabet)
+            pairs = (t.initial, *(rec.pair for rec in t.steps))
+            texts = [(s["left"], s["right"]) for s in (d["initial"], *d["steps"])]
+            assert texts == [(p.left.format(alphabet), p.right.format(alphabet)) for p in pairs]
+            lines = t.format_lines(alphabet)
+            assert not spelled
+            for other in (copy, replace(t)):
+                assert json.dumps(other.to_dict(alphabet)) == json.dumps(d)
+                assert other.format_lines(alphabet) == lines
+                assert len(spelled) == 4 * len(t.steps)
+                spelled.clear()
