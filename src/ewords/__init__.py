@@ -8,7 +8,13 @@ independent oracles (the literal parent-product recursion on the Farey
 tree among them) and exhaustive cross-checks tie the routes together.
 """
 
-from .enumeration import MODES, e_word
+from .enumeration import (
+    MODES,
+    count_ewords_of_length,
+    e_word,
+    enumerate_ewords,
+    rational_indices,
+)
 from .farey import (
     INFINITY,
     ZERO,
@@ -27,24 +33,19 @@ from .stepper import (
     run_preserving,
     step,
 )
-from .verify import (
-    SweepReport,
-    count_ewords_of_length,
-    enumerate_ewords,
-    rational_indices,
-    sweep,
-)
+from .verify import SweepReport, sweep
 from .word import FreeWord
 
 # Outside the production API but still importable from here: the closed
 # forms, index helpers, oracles, parity tables and sweep parts.
-from .enumeration import e_word_integer, e_word_reciprocal, sign_rule
+from .enumeration import PARITY_ROWS, neighbor_pairs
 from .farey import evaluate_entries, farey_sum, from_continued_fraction
 from .farey import is_farey_neighbor, normalize, parse_continued_fraction
 from .stepper import StepRecord, initial_pair
-from .verify import EXCLUDED_ROWS, PARITY_ROWS, ShapeMismatch, SweepCheck, SweepFailure
+from .verify import EXCLUDED_ROWS, ShapeMismatch, SweepCheck, SweepFailure
 from .verify import child_word, closed_form_stop, exponent_form_check
-from .verify import canonical_sequences, matches_excluded_row, neighbor_pairs
+from .verify import e_word_integer, e_word_reciprocal, sign_rule
+from .verify import canonical_sequences, matches_excluded_row
 from .verify import oracle_e_word, oracle_parents, parity_pattern, recursion_call_count
 from .verify import table_sequences
 

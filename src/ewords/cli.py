@@ -13,10 +13,10 @@ import json
 import re
 import sys
 
-from .enumeration import MODES, e_word
+from .enumeration import MODES, count_ewords_of_length, e_word
 from .farey import farey_level, parents, parse_rational, to_continued_fraction
 from .stepper import ESequence, _arrow_chain, run_esequence
-from .verify import count_ewords_of_length, sweep
+from .verify import sweep
 from .word import ALPHABETS, FreeWord
 
 

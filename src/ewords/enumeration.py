@@ -1,4 +1,4 @@
-"""The rational-indexed enumeration of primitive words.
+"""The rational-indexed enumeration of primitive words, one index or a whole shell.
 
 e_word sends 0/1 to a, 1/0 to b, and every other extended rational to an
 ordered product of the words of its two parents.  The order is decided by
@@ -10,44 +10,29 @@ a-letters, and it is a palindrome exactly when p * q is even.
 e_word builds the word by walking the Stern-Brocot path of the continued
 fraction with the stepper's run_preserving blocks, whose palindrome order
 rule yields the same products as the parity rule.  The two modes, orphan
-and shortcut, run the same walk and produce identical words; e_word_integer
-and e_word_reciprocal give the closed forms at n/1 and 1/n.
+and shortcut, run the same walk and produce identical words.  Negative
+indices mirror positive ones with the sign of every a-exponent flipped.
 
-Negative indices mirror positive ones with the sign of every a-exponent
-flipped.
+A shell of radius n holds every index p/q with |p| + q <= n.  One
+depth-first Stern-Brocot descent meets a shell's indices in increasing
+order, each with its larger Farey neighbors in the shell.
+neighbor_pairs reads those pairs off it; enumerate_ewords forms each
+positive word once from its parents' words; count_ewords_of_length
+streams it, holding one root-to-leaf path at a time.
 """
 
 from __future__ import annotations
 
-from .farey import INFINITY, ZERO, ExtRational, to_continued_fraction
+from math import gcd
+from typing import Iterator
+
+from .farey import INFINITY, ZERO, ExtRational, _upper_first, to_continued_fraction
 from .stepper import GeneratorPair, run_preserving
 from .word import FreeWord
 
 MODES = ("orphan", "shortcut")
 
 _B = FreeWord.letter("b")
-
-
-def sign_rule(x: int) -> int:
-    """Exponent-sign chooser for the closed forms: 1 on negatives, -1 otherwise."""
-    return 1 if x < 0 else -1
-
-
-def e_word_integer(n: int) -> FreeWord:
-    """Closed form at n/1: b^ceil(|n|/2) a^(-+1) b^floor(|n|/2)."""
-    k = abs(n)
-    return FreeWord.from_runs(
-        [("b", (k + 1) // 2), ("a", -sign_rule(n)), ("b", k // 2)]
-    )
-
-
-def e_word_reciprocal(n: int) -> FreeWord:
-    """Closed form at 1/n for n != 0: a-power, b, a-power."""
-    if n == 0:
-        raise ValueError("reciprocal index must be nonzero; 1/0 is the word b")
-    k = abs(n)
-    s = -sign_rule(n)
-    return FreeWord.from_runs([("a", s * (k // 2)), ("b", 1), ("a", s * ((k + 1) // 2))])
 
 
 def e_word(x: ExtRational, mode: str = "orphan") -> FreeWord:
@@ -74,6 +59,112 @@ def e_word(x: ExtRational, mode: str = "orphan") -> FreeWord:
     return pair.left if len(entries) % 2 else pair.right
 
 
-# PARITY_ROWS stays importable from here for existing callers.  The import
-# comes last because verify imports this module.
-from .verify import PARITY_ROWS  # noqa: E402,F401
+# Parity profile ('e'/'o' for p, q, r, s) of an ordered neighbor pair
+# p/q < r/s determines the parity of the mediant's numerator * denominator,
+# and with it the product order.  Exactly these six profiles can occur.
+PARITY_ROWS = {
+    ("e", "o", "o", "e"): "odd",
+    ("o", "o", "e", "o"): "even",
+    ("o", "o", "o", "e"): "even",
+    ("o", "e", "e", "o"): "odd",
+    ("e", "o", "o", "o"): "even",
+    ("o", "e", "o", "o"): "even",
+}
+
+
+def rational_indices(bound: int) -> list[ExtRational]:
+    """All indices with |p| + q <= bound, in increasing order (∞ last)."""
+    if bound < 1:
+        raise ValueError(f"bound must be positive: {bound}")
+    out = [INFINITY]
+    for q in range(1, bound + 1):
+        for p in range(-(bound - q), bound - q + 1):
+            if gcd(abs(p), q) == 1:
+                out.append(ExtRational(p, q))
+    return sorted(out)
+
+
+def _descent(bound: int, lo: tuple, ups: list[tuple]) -> Iterator[tuple[tuple, list[tuple]]]:
+    """Walk the shell |p| + q <= bound depth-first from a lower end and a
+    stack of upper ends, each a (p, q, word or None) triple.
+
+    While the mediant of the lower end and the top upper end stays in the
+    shell, it is pushed, with its word when the ends carry words.  Else
+    the lower end is yielded and the top is popped to become the next one.
+    The lower ends come out in increasing order, each with the upper ends
+    from its own upper bracket end to the top: its larger neighbors in
+    the shell.  The last upper end is never yielded.
+    """
+    base = len(ups) - 1
+    while ups:
+        (p, q, wlo), (r, s, wup) = lo, ups[-1]
+        if abs(p + r) + q + s <= bound:
+            if wlo is not None:
+                wlo = wup * wlo if _upper_first(p + r, q + s) else wlo * wup
+            ups.append((p + r, q + s, wlo))
+        else:
+            yield lo, ups[base:]
+            lo = ups.pop()
+            base = len(ups) - 1
+
+
+def neighbor_pairs(
+    bound: int, include_negative: bool = True
+) -> list[tuple[ExtRational, ExtRational]]:
+    """Ordered Farey-neighbor pairs (x < y) with both indices in the shell.
+
+    One descent from -1/0 (or from 0/1 without negatives) meets the
+    indices in increasing order, each with its larger neighbors.  -1/0 is
+    ∞ seen from below, so a negative integer's pair with it is taken as
+    (x, ∞).
+    """
+    if bound < 1:
+        raise ValueError(f"bound must be positive: {bound}")
+    lo, ups = (-1, 0, None), [(1, 0, None), (0, 1, None)]
+    if not include_negative:  # start one step on, from 0/1
+        lo = ups.pop()
+    pairs = []
+    for (p, q, _), larger in _descent(bound, lo, ups):
+        if q:
+            x = ExtRational(p, q)
+            pairs += [(x, ExtRational(r, s)) for r, s, _ in reversed(larger)]
+            pairs += [(x, INFINITY)] * (p < 0 and q == 1)
+    return pairs
+
+
+def enumerate_ewords(bound: int, mode: str = "orphan") -> dict[ExtRational, FreeWord]:
+    """Word for every index in the shell, keyed in rational_indices order.
+
+    One descent from (0/1: a, 1/0: b) forms each positive word once, from
+    its parents' words.  Negative indices take the a -> a^-1 mirror.  Both
+    modes agree.
+    """
+    if bound < 1:
+        raise ValueError(f"bound must be positive: {bound}")
+    a, b = e_word(ZERO, mode), e_word(INFINITY, mode)  # e_word validates the mode
+    positive = [lo for lo, _ in _descent(bound, (0, 1, a), [(1, 0, b)])]
+    out = {
+        ExtRational(-p, q): FreeWord._trusted(tuple((g, -e if g == "a" else e) for g, e in w.runs))
+        for p, q, w in reversed(positive[1:])  # the first is 0/1
+    }
+    out.update((ExtRational(p, q), w) for p, q, w in positive)
+    out[INFINITY] = b
+    return out
+
+
+def count_ewords_of_length(n: int) -> tuple[int, int]:
+    """(arithmetic count, measured count) of words whose total length is n.
+
+    The arithmetic side counts nonzero |p| < n coprime to n, one sign
+    each way; the measured side streams the descent over the shell of
+    radius n and takes lengths, counting each positive word for its
+    mirror too, which has the same length.  Only one root-to-leaf path of
+    words is held at a time.  The two agree for every n >= 2; n = 1 is
+    excluded because the orphans fall outside the coprime-pair pattern.
+    """
+    if n < 2:
+        raise ValueError(f"length counts start at n = 2, got {n}")
+    arithmetic = 2 * sum(1 for p in range(1, n) if gcd(p, n) == 1)
+    descent = _descent(n, (0, 1, FreeWord.letter("a")), [(1, 0, _B)])
+    measured = 2 * sum(1 for (_, _, w), _ in descent if w.length == n)
+    return arithmetic, measured

@@ -196,27 +196,25 @@ def to_continued_fraction(x: ExtRational) -> ContinuedFraction:
 
 
 def evaluate_entries(entries: Iterable[int]) -> ExtRational:
-    """Value of an entry list via the standard three-term recursion."""
+    """Value of an entry list: the end of its bracket that the last entry moved."""
     seq = list(entries)
     if not seq:
         raise ValueError("empty entry list has no value")
-    num_prev, den_prev = 0, 1
-    num, den = 1, 0
-    for a in seq:
-        num_prev, den_prev, num, den = num, den, a * num + num_prev, a * den + den_prev
-    return ExtRational(num, den)
+    return ExtRational(*_bracket(seq)[1 - len(seq) % 2])
 
 
 def from_continued_fraction(cf: ContinuedFraction) -> ExtRational:
     return evaluate_entries(cf.entries)
 
 
-def _bracket(entries: Iterable[int]) -> tuple[ExtRational, ExtRational]:
+def _bracket(entries: Iterable[int]) -> tuple[tuple[int, int], tuple[int, int]]:
     """Stern-Brocot bracket (lower, upper) after walking an entry list.
 
     From (0/1, 1/0), an entry n at an even position moves the lower end n
     mediants up, at an odd position the upper end n mediants down.  The
-    end moved last is the list's value.
+    end moved last is the list's value.  The ends come back as raw
+    (numerator, denominator) pairs, so that a caller validates only the
+    ends it uses.
     """
     (p, q), (r, s) = (0, 1), (1, 0)
     for i, n in enumerate(entries):
@@ -224,7 +222,14 @@ def _bracket(entries: Iterable[int]) -> tuple[ExtRational, ExtRational]:
             r, s = r + n * p, s + n * q
         else:
             p, q = p + n * r, q + n * s
-    return ExtRational(p, q), ExtRational(r, s)
+    return (p, q), (r, s)
+
+
+def _upper_first(p: int, q: int) -> bool:
+    """The product-order rule: the word at the mediant p/q of two
+    neighbors is the upper neighbor's word times the lower's when pq is
+    odd, the lower's times the upper's when pq is even."""
+    return p & q & 1 == 1
 
 
 def parents(x: ExtRational) -> tuple[ExtRational, ExtRational]:
@@ -242,7 +247,8 @@ def parents(x: ExtRational) -> tuple[ExtRational, ExtRational]:
         lo, up = parents(-x)
         return (-up, -lo)
     entries = to_continued_fraction(x).entries
-    return _bracket(entries[:-1] + (entries[-1] - 1,))
+    lo, up = _bracket(entries[:-1] + (entries[-1] - 1,))
+    return ExtRational(*lo), ExtRational(*up)
 
 
 def farey_level(x: ExtRational) -> int:

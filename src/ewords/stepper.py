@@ -12,10 +12,10 @@ left, and a leading 0 skips straight to the left-preserving block.  After
 the run the side changed last carries the word indexed by the sequence's
 value.  A block of n same-side steps collapses to one rule, A^x M A^(n-x)
 for the preserved word A.  run_esequence trusts its own steps: it forms
-unchecked mediants, takes each product order from the indices (the word
-at p/q is a palindrome exactly when pq is even), and its trace spells
-each new word from the previous pair's texts in that order, with one
-token spliced in where the seam runs merge.
+unchecked mediants, takes each product order from farey's parity rule
+(both words of a machine pair are palindromes exactly when the mediant's
+pq is odd), and its trace spells each new word from the previous pair's
+texts in that order, with one token spliced in where the seam runs merge.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .farey import (
     ZERO,
     ExtRational,
     _mediant,
+    _upper_first,
     evaluate_entries,
     format_entries,
     is_farey_neighbor,
@@ -118,19 +119,13 @@ def step(pair: GeneratorPair, preserve: str) -> GeneratorPair:
     return _step(pair, preserve, pair.left.is_palindrome() and pair.right.is_palindrome())
 
 
-def _step(pair: GeneratorPair, preserve: str, both: bool) -> GeneratorPair:
+def _step(pair: GeneratorPair, preserve: str, upper_first: bool) -> GeneratorPair:
     # a valid pair's mediant is a valid index, neighbor to each end
-    product = pair.right * pair.left if both else pair.left * pair.right
+    product = pair.right * pair.left if upper_first else pair.left * pair.right
     child = _mediant(pair.left_index, pair.right_index)
     if preserve == "left":
         return GeneratorPair._trusted(pair.left, product, pair.left_index, child)
     return GeneratorPair._trusted(product, pair.right, child, pair.right_index)
-
-
-def _both_even(pair: GeneratorPair) -> bool:
-    # pq even at both indices: on machine pairs, both words are palindromes
-    x, y = pair.left_index, pair.right_index
-    return not (x.p & x.q | y.p & y.q) & 1
 
 
 def run_preserving(pair: GeneratorPair, preserve: str, n: int) -> GeneratorPair:
@@ -250,7 +245,8 @@ class StepTrace:
         for prev, pair, rec in zip(pairs, pairs[1:], self.steps):
             known = ((prev.left, left), (prev.right, right))
             if self._by_machine:  # the changed word is the product in the parity order
-                word = _seam_text(*known[:: -1 if _both_even(prev) else 1], alphabet)
+                m = pair.right_index if rec.preserved == "left" else pair.left_index
+                word = _seam_text(*known[:: -1 if _upper_first(m.p, m.q) else 1], alphabet)
                 left, right = (left, word) if rec.preserved == "left" else (word, right)
             else:
                 left, right = (_spell(w, known, alphabet) for w in (pair.left, pair.right))
@@ -260,7 +256,9 @@ class StepTrace:
             for p, (lt, rt) in zip(pairs, texts)
         ]
         entries = self.sequence.entries
-        word = self.last_changed_word
+        word, index = self.last_changed_word, self.last_changed_index
+        # a machine word's exponents are all positive: its sums are its index's
+        sums = (index.q, index.p) if self._by_machine else map(word.exponent_sum, "ab")
         return {
             "esequence": list(entries),
             "value": str(self.sequence.value()),
@@ -273,8 +271,8 @@ class StepTrace:
             "last_changed": {
                 "side": self.last_changed_side,
                 "word": dicts[-1][self.last_changed_side],
-                "index": str(self.last_changed_index),
-                "exponent_sums": {g: word.exponent_sum(g) for g in "ab"},
+                "index": str(index),
+                "exponent_sums": dict(zip("ab", sums)),
             },
         }
 
@@ -286,7 +284,8 @@ def run_esequence(seq: ESequence) -> StepTrace:
     for i, n in enumerate(seq.entries):
         side = "right" if i % 2 == 0 else "left"
         for _ in range(n):
-            pair = _step(pair, side, _both_even(pair))
+            x, y = pair.left_index, pair.right_index
+            pair = _step(pair, side, _upper_first(x.p + y.p, x.q + y.q))
             records.append(StepRecord(side, pair))
     trace = StepTrace(seq, start, tuple(records))
     object.__setattr__(trace, "_by_machine", True)

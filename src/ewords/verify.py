@@ -2,8 +2,10 @@
 
 Everything here recomputes results the long way round: parents by
 brute-force splitting search, words by the literal parent recursion,
-counts by enumerating and measuring.  Production code is checked against
-these paths, never against itself.  sweep() bundles every cross-module
+integer and reciprocal indices by closed forms, stopping pairs by
+tables.  Each oracle writes out its own product order, so production
+code is checked against these paths, never against itself.  No
+production module imports this one.  sweep() bundles every cross-module
 property into one report over a bounded index range; a shell of radius n
 means all indices p/q with |p| + q <= n.
 """
@@ -14,74 +16,36 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
-from .enumeration import e_word, e_word_integer, e_word_reciprocal
-from .farey import (
-    INFINITY,
-    ZERO,
-    ExtRational,
-    _bracket,
-    evaluate_entries,
-    farey_level,
-    farey_sum,
-    from_continued_fraction,
-    is_farey_neighbor,
-    normalize,
-    parents,
-    parse_continued_fraction,
-    to_continued_fraction,
-)
-from .stepper import (
-    SIDES,
-    ESequence,
-    GeneratorPair,
-    StepTrace,
-    initial_pair,
-    run_esequence,
-    run_preserving,
-    step,
-)
+from .enumeration import MODES, PARITY_ROWS, count_ewords_of_length, e_word, neighbor_pairs
+from .enumeration import enumerate_ewords, rational_indices  # enumerate_ewords: re-exported only
+from .farey import INFINITY, ZERO, ExtRational, _bracket, evaluate_entries, farey_level
+from .farey import farey_sum, from_continued_fraction, is_farey_neighbor, normalize, parents
+from .farey import parse_continued_fraction, to_continued_fraction
+from .stepper import SIDES, ESequence, GeneratorPair, StepTrace, initial_pair, run_esequence
+from .stepper import run_preserving, step
 from .word import FreeWord
 
 
-def rational_indices(bound: int) -> list[ExtRational]:
-    """All indices with |p| + q <= bound, in increasing order (∞ last)."""
-    if bound < 1:
-        raise ValueError(f"bound must be positive: {bound}")
-    out = [INFINITY]
-    for q in range(1, bound + 1):
-        for p in range(-(bound - q), bound - q + 1):
-            if gcd(abs(p), q) == 1:
-                out.append(ExtRational(p, q))
-    return sorted(out)
+def sign_rule(x: int) -> int:
+    """Exponent-sign chooser for the closed forms: 1 on negatives, -1 otherwise."""
+    return 1 if x < 0 else -1
 
 
-def neighbor_pairs(
-    bound: int, include_negative: bool = True
-) -> list[tuple[ExtRational, ExtRational]]:
-    """Ordered Farey-neighbor pairs (x < y) with both indices in the shell.
+def e_word_integer(n: int) -> FreeWord:
+    """Closed form at n/1: b^ceil(|n|/2) a^(-+1) b^floor(|n|/2)."""
+    k = abs(n)
+    return FreeWord.from_runs(
+        [("b", (k + 1) // 2), ("a", -sign_rule(n)), ("b", k // 2)]
+    )
 
-    One Stern-Brocot descent from -1/0 (or from 0/1 without negatives)
-    meets the indices in increasing order.  The larger neighbors of x are
-    its upper bracket end u and the mediants u + kx, which the stack holds
-    from u up to its top once x can push no more.  -1/0 is ∞ seen from
-    below, so a negative integer's pair with it is taken as (x, ∞).
-    """
-    if bound < 1:
-        raise ValueError(f"bound must be positive: {bound}")
-    lo, ups = ((-1, 0), [(1, 0), (0, 1)]) if include_negative else ((0, 1), [(1, 0)])
-    base, pairs = len(ups) - 1, []
-    while ups:
-        (p, q), (r, s) = lo, ups[-1]
-        if abs(p + r) + q + s <= bound:
-            ups.append((p + r, q + s))
-            continue
-        if q:
-            x = ExtRational(p, q)
-            pairs += [(x, ExtRational(*y)) for y in reversed(ups[base:])]
-            pairs += [(x, INFINITY)] * (p < 0 and q == 1)
-        lo = ups.pop()
-        base = len(ups) - 1
-    return pairs
+
+def e_word_reciprocal(n: int) -> FreeWord:
+    """Closed form at 1/n for n != 0: a-power, b, a-power."""
+    if n == 0:
+        raise ValueError("reciprocal index must be nonzero; 1/0 is the word b")
+    k = abs(n)
+    s = -sign_rule(n)
+    return FreeWord.from_runs([("a", s * (k // 2)), ("b", 1), ("a", s * ((k + 1) // 2))])
 
 
 def oracle_parents(x: ExtRational) -> tuple[ExtRational, ExtRational]:
@@ -145,41 +109,6 @@ def _oracle_word(x: ExtRational, memo: dict[ExtRational, FreeWord]) -> FreeWord:
     return w
 
 
-def _mediant_product(p: int, q: int, wlo: FreeWord, wup: FreeWord) -> FreeWord:
-    """Word at the mediant p/q from its parents' words: upper first when pq is odd."""
-    return wup * wlo if (p * q) % 2 else wlo * wup
-
-
-def enumerate_ewords(bound: int, mode: str = "orphan") -> dict[ExtRational, FreeWord]:
-    """Word for every index in the shell, keyed in rational_indices order.
-
-    One depth-first Stern-Brocot descent from (0/1: a, 1/0: b) keeps the
-    lower bracket end and a stack of upper ones, and pushes their mediant
-    while it stays in the shell.  It meets the positive indices in
-    increasing order and forms each word once, from its parents' words.
-    Negative indices take the a -> a^-1 mirror.  Both modes agree.
-    """
-    if bound < 1:
-        raise ValueError(f"bound must be positive: {bound}")
-    a, b = e_word(ZERO, mode), e_word(INFINITY, mode)  # e_word validates the mode
-    lo, ups, positive = (0, 1, a), [(1, 0, b)], []
-    while ups:
-        (p, q, wlo), (r, s, wup) = lo, ups[-1]
-        if p + q + r + s <= bound:
-            ups.append((p + r, q + s, _mediant_product(p + r, q + s, wlo, wup)))
-        else:
-            lo = ups.pop()
-            positive.append(lo)
-    mirror = {"a": -1, "b": 1}
-    out = {
-        ExtRational(-p, q): FreeWord._trusted(tuple((g, mirror[g] * e) for g, e in w.runs))
-        for p, q, w in reversed(positive[:-1])  # the last is 1/0
-    }
-    out[ZERO] = a
-    out.update((ExtRational(p, q), w) for p, q, w in positive)
-    return out
-
-
 def child_word(
     x: ExtRational, wx: FreeWord, y: ExtRational, wy: FreeWord
 ) -> tuple[ExtRational, FreeWord]:
@@ -194,24 +123,12 @@ def child_word(
     if not x < y:
         raise ValueError(f"expected {x} < {y}")
     child = farey_sum(x, y)
-    return child, _mediant_product(child.p, child.q, wx, wy)
+    return child, wy * wx if (child.p * child.q) % 2 else wx * wy
 
 
-# Parity profile ('e'/'o' for p, q, r, s) of an ordered neighbor pair
-# p/q < r/s determines the parity of the mediant's numerator * denominator.
-# Exactly these six profiles can occur.
-PARITY_ROWS = {
-    ("e", "o", "o", "e"): "odd",
-    ("o", "o", "e", "o"): "even",
-    ("o", "o", "o", "e"): "even",
-    ("o", "e", "e", "o"): "odd",
-    ("e", "o", "o", "o"): "even",
-    ("o", "e", "o", "o"): "even",
-}
-
-# Impossible profiles (None = either parity): a numerator-denominator pair
-# in lowest terms is never even/even, and the neighbor determinant rules
-# out the three alternating/all-odd shapes.
+# Impossible parity profiles of a neighbor pair (None = either parity): a
+# numerator-denominator pair in lowest terms is never even/even, and the
+# neighbor determinant rules out the three alternating/all-odd shapes.
 EXCLUDED_ROWS = (
     ("e", "e", None, None),
     (None, None, "e", "e"),
@@ -233,25 +150,9 @@ def matches_excluded_row(pattern: tuple[str, str, str, str]) -> bool:
     )
 
 
-def count_ewords_of_length(n: int) -> tuple[int, int]:
-    """(arithmetic count, measured count) of words whose total length is n.
-
-    The arithmetic side counts nonzero |p| < n coprime to n, one sign
-    each way; the measured side builds the shell of radius n in
-    enumerate_ewords' one Stern-Brocot descent and takes lengths.  The
-    two agree for every n >= 2; n = 1 is excluded because the orphans
-    fall outside the coprime-pair pattern.
-    """
-    if n < 2:
-        raise ValueError(f"length counts start at n = 2, got {n}")
-    arithmetic = 2 * sum(1 for p in range(1, n) if gcd(p, n) == 1)
-    measured = sum(1 for w in enumerate_ewords(n).values() if w.length == n)
-    return arithmetic, measured
-
-
 def recursion_call_count(x: ExtRational, mode: str = "orphan") -> int:
     """Distinct indices a memoized parent recursion evaluates, terminals included."""
-    if mode not in ("orphan", "shortcut"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     seen: set[ExtRational] = set()
 
@@ -608,7 +509,7 @@ def closed_form_stop(seq: ESequence) -> GeneratorPair:
             right = a**m1 * (b * a ** (n1 + 1)) ** n3 * b * a**m1
     else:
         raise ShapeMismatch(f"{seq} does not match a stopping-pair table shape")
-    return GeneratorPair(left, right, *_bracket(e))
+    return GeneratorPair(left, right, *(ExtRational(*end) for end in _bracket(e)))
 
 
 def exponent_form_check(word: FreeWord, seq: ESequence) -> bool:

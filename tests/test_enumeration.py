@@ -22,6 +22,7 @@ from ewords import (
     parity_pattern,
     sign_rule,
 )
+from ewords.enumeration import count_ewords_of_length
 from ewords.verify import (
     neighbor_pairs,
     oracle_e_word,
@@ -215,3 +216,16 @@ class TestCallCounts:
             assert recursion_call_count(x, "shortcut") < recursion_call_count(
                 x, "orphan"
             ), x
+
+
+class TestStreamingCount:
+    def test_count_memory(self):
+        # the descent holds one root-to-leaf path of words, not the whole shell
+        tracemalloc.start()
+        try:
+            counts = count_ewords_of_length(120)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == (64, 64)
+        assert peak < 2 * 2**20

@@ -230,6 +230,21 @@ class TestContinuedFractions:
             acc = a + 1 / acc
         assert evaluate_entries(entries) == ExtRational(acc.numerator, acc.denominator)
 
+    @pytest.mark.parametrize(
+        "entries,value",
+        [([0, 0], INFINITY), ([3, 0, 2], ExtRational(5, 1)), ([-1, 2], ExtRational(-1, 2))],
+    )
+    def test_evaluate_any_integers(self, entries, value):
+        assert evaluate_entries(entries) == value
+
+    @pytest.mark.parametrize(
+        "entries,message",
+        [([], "empty entry list has no value"), ([2, -3], "denominator must be nonnegative: -5/-3")],
+    )
+    def test_evaluate_errors(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate_entries(entries)
+
     def test_round_trip_exhaustive(self):
         for x in rational_indices(30):
             if x.is_negative or x.is_infinite:

@@ -1,0 +1,57 @@
+"""The package's own import graph, read from its source with ast."""
+
+import ast
+from graphlib import TopologicalSorter
+from pathlib import Path
+
+import ewords
+
+PACKAGE = Path(ewords.__file__).parent
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """Package modules a module's source imports, at any depth of its body."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            parts = [alias.name.split(".") for alias in node.names]
+            found |= {p[1] if len(p) > 1 else "__init__" for p in parts if p[0] == "ewords"}
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = node.module
+            elif (node.module or "").split(".")[0] == "ewords":
+                base = node.module.partition(".")[2]
+            else:
+                continue
+            if base:
+                found.add(base.split(".")[0])
+            else:  # from . import x: a module, or a name from __init__
+                found |= {a.name if a.name in MODULES else "__init__" for a in node.names}
+    return found
+
+
+def import_graph() -> dict[str, set[str]]:
+    return {
+        path.stem: imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+        for path in PACKAGE.glob("*.py")
+    }
+
+
+def test_graph_reads_the_package():
+    graph = import_graph()
+    assert {"farey", "word", "stepper", "enumeration", "verify", "cli"} <= set(graph)
+    assert "enumeration" in graph["verify"] and "verify" in graph["cli"]
+
+
+def test_no_import_cycle():
+    # static_order raises CycleError on a cycle
+    order = list(TopologicalSorter(import_graph()).static_order())
+    assert set(order) == MODULES
+
+
+def test_production_modules_do_not_import_verify():
+    graph = import_graph()
+    for name in ("farey", "word", "stepper", "enumeration"):
+        assert "verify" not in graph[name], name
+        assert "__init__" not in graph[name], name

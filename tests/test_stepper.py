@@ -465,3 +465,12 @@ class TestMachineTrust:
                 assert other.format_lines(alphabet) == lines
                 assert len(spelled) == 4 * len(t.steps)
                 spelled.clear()
+
+    def test_exponent_sums_from_index(self, monkeypatch):
+        # a machine trace reads last_changed's sums off its index, a copy off its word
+        traces = [run_esequence(seq) for seq in canonical_sequences(4, 4)]
+        with monkeypatch.context() as m:
+            m.setattr(FreeWord, "exponent_sum", None)
+            dicts = [t.to_dict() for t in traces]
+        for t, d in zip(traces, dicts):
+            assert d == replace(t).to_dict(), t.sequence
