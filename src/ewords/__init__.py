@@ -33,7 +33,6 @@ from .stepper import (
     run_preserving,
     step,
 )
-from .verify import SweepReport, sweep
 from .word import FreeWord
 
 # Outside the production API but still importable from here: the closed
@@ -42,12 +41,32 @@ from .enumeration import PARITY_ROWS, neighbor_pairs
 from .farey import evaluate_entries, farey_sum, from_continued_fraction
 from .farey import is_farey_neighbor, normalize, parse_continued_fraction
 from .stepper import StepRecord, initial_pair
-from .verify import EXCLUDED_ROWS, ShapeMismatch, SweepCheck, SweepFailure
-from .verify import child_word, closed_form_stop, exponent_form_check
-from .verify import e_word_integer, e_word_reciprocal, sign_rule
-from .verify import canonical_sequences, matches_excluded_row
-from .verify import oracle_e_word, oracle_parents, parity_pattern, recursion_call_count
-from .verify import table_sequences
+
+# The oracles and the sweep load on first use (PEP 562): only `eword verify`
+# and checking code need them.
+_FROM_VERIFY = frozenset(
+    """SweepReport sweep EXCLUDED_ROWS ShapeMismatch SweepCheck SweepFailure
+    child_word closed_form_stop exponent_form_check e_word_integer
+    e_word_reciprocal sign_rule canonical_sequences matches_excluded_row
+    oracle_e_word oracle_parents parity_pattern recursion_call_count
+    table_sequences""".split()
+)
+
+
+def __getattr__(name: str):
+    if name != "verify" and name not in _FROM_VERIFY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    verify = import_module(".verify", __name__)
+    return verify if name == "verify" else getattr(verify, name)
+
+
+def __dir__() -> list[str]:
+    # the names an eager import of verify would show, and no more
+    hidden = {"_FROM_VERIFY", "__getattr__", "__dir__"}
+    return sorted({*globals(), *_FROM_VERIFY, "verify"} - hidden)
+
 
 __version__ = "0.1.0"
 

@@ -16,7 +16,6 @@ import sys
 from .enumeration import MODES, count_ewords_of_length, e_word
 from .farey import farey_level, parents, parse_rational, to_continued_fraction
 from .stepper import ESequence, _arrow_chain, run_esequence
-from .verify import sweep
 from .word import ALPHABETS, FreeWord
 
 
@@ -33,6 +32,52 @@ def _json_runs(w: FreeWord, alphabet: str) -> str:
         texts[run] = f'\n    [\n      "{letter}",\n      {e}\n    ]'
     body = ",".join(map(texts.__getitem__, w.runs))
     return f"[{body}\n  ]" if body else "[]"
+
+
+def _trace_json(data: dict) -> str:
+    """json.dumps(data, indent=2) for a trace's to_dict(), from templates.
+
+    Each string in it is a FreeWord.format text, a seam join of such
+    texts, an index or a side name: none holds a character JSON escapes,
+    so each is quoted as it stands.
+    """
+    p = "\n  "
+    return (
+        f'{{{p}"esequence": {_json_array(data["esequence"], p)},{p}"value": "{data["value"]}",'
+        f'{p}"initial": {_json_object(data["initial"], p)},'
+        f'{p}"steps": {_json_objects(data["steps"], p)},'
+        f'{p}"blocks": {_json_objects(data["blocks"], p)},'
+        f'{p}"last_changed": {_json_object(data["last_changed"], p)}\n}}'
+    )
+
+
+def _json_object(d: dict, pad: str) -> str:
+    # an object of escape-free strings, ints and such objects, opened after pad
+    inner = pad + "  "
+    lines = [
+        f'{inner}"{k}": "{v}"'
+        if type(v) is str
+        else f'{inner}"{k}": {_json_object(v, inner) if type(v) is dict else v}'
+        for k, v in d.items()
+    ]
+    return "{" + ",".join(lines) + pad + "}"
+
+
+def _json_objects(ds: list[dict], pad: str) -> str:
+    # an array of flat objects shaped like the first: one %-template for all
+    if not ds:
+        return "[]"
+    inner = pad + "    "
+    fields = [
+        f'{inner}"{k}": "%({k})s"' if type(v) is str else f'{inner}"{k}": %({k})s'
+        for k, v in ds[0].items()
+    ]
+    template = f"{pad}  {{" + ",".join(fields) + f"{pad}  }}"
+    return "[" + ",".join([template % d for d in ds]) + pad + "]"
+
+
+def _json_array(items: list[int], pad: str) -> str:
+    return "[" + ",".join([f"{pad}  {x}" for x in items]) + pad + "]" if items else "[]"
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -61,7 +106,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     data = run_esequence(ESequence.parse(args.esequence)).to_dict(args.alphabet)
     if args.format == "json":
-        _print_json(data)
+        print(_trace_json(data))
         return 0
     final, last = data["steps"][-1], data["last_changed"]
     print(*_arrow_chain(data), sep="\n")
@@ -103,6 +148,8 @@ def _cmd_level(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import sweep  # the oracles load only for this command
+
     report = sweep(args.bound)
     if args.format == "json":
         _print_json(report.to_dict())

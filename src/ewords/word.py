@@ -163,7 +163,12 @@ class FreeWord:
         return cls.from_runs(runs)
 
     def format(self, alphabet: str = "ab") -> str:
-        """Render as space-separated tokens; '^' appears only when needed."""
+        """Render as space-separated tokens; '^' appears only when needed.
+
+        The text holds only the alphabet's two letters, digits, '^', '-'
+        and spaces, or is "1" for the identity: none of them is a character
+        JSON escapes, which the CLI's trace JSON relies on.
+        """
         la, lb = _check_alphabet(alphabet)
         if self.is_identity:
             return "1"

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import shlex
 import tracemalloc
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ewords import ESequence, FreeWord, e_word, parse_rational, run_esequence
-from ewords.cli import _json_runs, build_parser, main
+from ewords.cli import _json_runs, _trace_json, build_parser, main
 from ewords.verify import canonical_sequences
 
 from test_word import words
@@ -233,6 +234,20 @@ def reference_trace(text, fmt, alphabet):
     return json.dumps(data, indent=2) + "\n"
 
 
+@st.composite
+def small_sequences(draw, limit=3000):
+    """Sequences of at most 8 entries, each at most 40, cut where the value's
+    |p| + q would pass limit, which keeps each trace's text small."""
+    entries = [draw(st.integers(0, 40))]
+    for _ in range(draw(st.integers(0, 7))):
+        n = draw(st.integers(1, 40))
+        value = ESequence((*entries, n)).value()
+        if value.p + value.q > limit:
+            break
+        entries.append(n)
+    return ESequence(tuple(entries) if entries != [0] else (0, 1))
+
+
 TRACE_SEQUENCES = [str(s) for s in canonical_sequences(3, 3)] + [
     "[40;1,2,30]",
     "[0;3,25,1,2]",
@@ -286,6 +301,36 @@ class TestTraceRendering:
                     code = main(["trace", text, "--format", fmt, "--alphabet", alphabet])
                 assert code == 0
                 assert out.getvalue() == reference_trace(text, fmt, alphabet), (fmt, alphabet)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_sequences(), st.sampled_from(["ab", "AB"]))
+    def test_json_matches_encoder(self, seq, alphabet):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["trace", str(seq), "--format", "json", "--alphabet", alphabet])
+        want = json.dumps(run_esequence(seq).to_dict(alphabet), indent=2) + "\n"
+        assert (code, out.getvalue()) == (0, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_sequences(), st.sampled_from(["ab", "AB"]))
+    def test_trace_strings_need_no_escaping(self, seq, alphabet):
+        # _trace_json quotes every string as it stands, which is right only
+        # for strings of these characters
+        def strings(value):
+            if isinstance(value, str):
+                yield value
+            elif isinstance(value, (list, dict)):
+                for v in value.values() if isinstance(value, dict) else value:
+                    yield from strings(v)
+
+        for text in strings(run_esequence(seq).to_dict(alphabet)):
+            assert text in ("left", "right") or re.fullmatch(r"[abAB0-9^/ -]+", text), text
+
+    def test_json_of_empty_lists(self):
+        data = run_esequence(ESequence.parse("[0;3,4]")).to_dict()
+        for key in ("esequence", "steps", "blocks"):
+            emptied = dict(data, **{key: []})
+            assert _trace_json(emptied) == json.dumps(emptied, indent=2), key
 
 
 class TestIndexCommands:

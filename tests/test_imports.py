@@ -1,6 +1,9 @@
 """The package's own import graph, read from its source with ast."""
 
 import ast
+import os
+import subprocess
+import sys
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -55,3 +58,28 @@ def test_production_modules_do_not_import_verify():
     for name in ("farey", "word", "stepper", "enumeration"):
         assert "verify" not in graph[name], name
         assert "__init__" not in graph[name], name
+
+
+LAZY_VERIFY = """
+import contextlib, io, sys
+import ewords, ewords.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert ewords.cli.main(["compute", "68/13"]) == 0
+    assert ewords.cli.main(["trace", "[5;4,3]", "--format", "json"]) == 0
+assert "ewords.verify" not in sys.modules
+names = dir(ewords)
+assert ewords.sweep is ewords.verify.sweep and "ewords.verify" in sys.modules
+assert dir(ewords) == names and all(hasattr(ewords, n) for n in names)
+star = {}
+exec("from ewords import *", star)
+assert set(star) - {"__builtins__"} == set(ewords.__all__)
+"""
+
+
+def test_verify_loads_only_when_asked():
+    # a fresh interpreter: this test process has long since imported verify
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", LAZY_VERIFY], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

@@ -221,6 +221,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(1)
 
+    def test_mode_equivalence_reads_the_shell_descent(self, monkeypatch):
+        # reversing a word is what flipping its product order does to it
+        import ewords.verify
+
+        def flipped(bound, mode="orphan"):
+            return {x: w.reverse() for x, w in enumerate_ewords(bound, mode).items()}
+
+        monkeypatch.setattr(ewords.verify, "enumerate_ewords", flipped)
+        report = sweep(8)
+        assert [c.name for c in report.checks if c.failures] == ["mode-equivalence"]
+
     def test_failures_carry_counterexamples(self):
         # sabotage one comparison to confirm the report format
         from ewords.verify import SweepCheck, SweepFailure, SweepReport, _run_check
