@@ -9,7 +9,6 @@ found a mismatch, 2 usage, parse or resource (memory, overflow) errors.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -20,6 +19,7 @@ from .word import ALPHABETS, FreeWord
 
 
 def _print_json(data: dict) -> None:
+    import json  # loaded only here and for compute's JSON: trace never needs it
     print(json.dumps(data, indent=2))
 
 
@@ -87,6 +87,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if "^-" in rendered:
         print("note: word has negative exponents", file=sys.stderr)
     if args.format == "json":
+        import json
         data = {
             "index": str(x),
             "mode": args.mode,

@@ -156,15 +156,17 @@ def count_ewords_of_length(n: int) -> tuple[int, int]:
     """(arithmetic count, measured count) of words whose total length is n.
 
     The arithmetic side counts nonzero |p| < n coprime to n, one sign
-    each way; the measured side streams the descent over the shell of
-    radius n and takes lengths, counting each positive word for its
-    mirror too, which has the same length.  Only one root-to-leaf path of
-    words is held at a time.  The two agree for every n >= 2; n = 1 is
-    excluded because the orphans fall outside the coprime-pair pattern.
+    each way.  The measured side streams the descent over the shell of
+    radius n without words, builds the word at each index on its rim
+    p + q = n and takes its length, counting each positive word for its
+    mirror too, which has the same length.  The two agree for every
+    n >= 2; n = 1 is excluded because the orphans fall outside the
+    coprime-pair pattern.
     """
     if n < 2:
         raise ValueError(f"length counts start at n = 2, got {n}")
     arithmetic = 2 * sum(1 for p in range(1, n) if gcd(p, n) == 1)
-    descent = _descent(n, (0, 1, FreeWord.letter("a")), [(1, 0, _B)])
-    measured = 2 * sum(1 for (_, _, w), _ in descent if w.length == n)
+    descent = _descent(n, (0, 1, None), [(1, 0, None)])
+    rim = (ExtRational(p, q) for (p, q, _), _ in descent if p + q == n)
+    measured = 2 * sum(1 for x in rim if e_word(x).length == n)
     return arithmetic, measured

@@ -13,27 +13,60 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable
 
 
+class _Frozen:
+    """Base of the value types: ==, hash and repr over the fields named in
+    __match_args__, and no assignment.  __init__ stores the fields past the
+    frozen __setattr__, with object.__setattr__ or through __dict__."""
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__match_args__, self._fields()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 @functools.total_ordering
-@dataclass(frozen=True)
-class ExtRational:
+class ExtRational(_Frozen):
     """p/q in lowest terms.  q == 0 encodes ∞ and is only legal as 1/0."""
 
-    p: int
-    q: int = 1
+    __match_args__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if type(self.p) is not int or type(self.q) is not int:
-            raise ValueError(f"p and q must be integers: {self.p!r}/{self.q!r}")
-        if self.q < 0:
-            raise ValueError(f"denominator must be nonnegative: {self.p}/{self.q}")
-        if self.q == 0 and self.p != 1:
-            raise ValueError(f"infinity must be written 1/0: {self.p}/0")
-        if math.gcd(abs(self.p), self.q) != 1:
-            raise ValueError(f"not in lowest terms: {self.p}/{self.q}")
+    def __init__(self, p: int, q: int = 1) -> None:
+        if type(p) is not int or type(q) is not int:
+            raise ValueError(f"p and q must be integers: {p!r}/{q!r}")
+        if q < 0:
+            raise ValueError(f"denominator must be nonnegative: {p}/{q}")
+        if q == 0 and p != 1:
+            raise ValueError(f"infinity must be written 1/0: {p}/0")
+        if math.gcd(abs(p), q) != 1:
+            raise ValueError(f"not in lowest terms: {p}/{q}")
+        self.__dict__.update(p=p, q=q)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.q) == (other.p, other.q)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
 
     @property
     def is_infinite(self) -> bool:
@@ -123,18 +156,17 @@ def _mediant(x: ExtRational, y: ExtRational) -> ExtRational:
     return m
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(_Frozen):
     """Canonical continued fraction [a0; a1, ..., ak] of a nonnegative rational.
 
     a0 >= 0, interior entries >= 1, and the last entry >= 2 whenever there
     is more than one, which makes the expansion unique.
     """
 
-    entries: tuple[int, ...]
+    __match_args__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        object.__setattr__(self, "entries", tuple(entries))
         if not self.entries:
             raise ValueError("continued fraction needs at least one entry")
         if self.entries[0] < 0:

@@ -20,13 +20,13 @@ texts in that order, with one token spliced in where the seam runs merge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .farey import (
     INFINITY,
     ZERO,
     ExtRational,
+    _Frozen,
     _mediant,
     _upper_first,
     evaluate_entries,
@@ -39,8 +39,7 @@ from .word import FreeWord
 SIDES = ("left", "right")
 
 
-@dataclass(frozen=True)
-class ESequence:
+class ESequence(_Frozen):
     """Entry list [n0; n1, ..., nk]: n0 >= 0, later entries >= 1.
 
     Unlike canonical continued fractions a trailing 1 is allowed; the run
@@ -48,10 +47,10 @@ class ESequence:
     drives no steps.
     """
 
-    entries: tuple[int, ...]
+    __match_args__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        object.__setattr__(self, "entries", tuple(entries))
         if not self.entries:
             raise ValueError("sequence needs at least one entry")
         for i, n in enumerate(self.entries):
@@ -77,28 +76,25 @@ class ESequence:
         return format_entries(self.entries)
 
 
-@dataclass(frozen=True)
-class GeneratorPair:
+class GeneratorPair(_Frozen):
     """Two basis words with their tracked indices, kept in Farey order."""
 
-    left: FreeWord
-    right: FreeWord
-    left_index: ExtRational
-    right_index: ExtRational
+    __match_args__ = ("left", "right", "left_index", "right_index")
 
-    def __post_init__(self) -> None:
-        if not self.left_index < self.right_index:
-            raise ValueError(
-                f"indices out of order: {self.left_index} >= {self.right_index}"
-            )
-        if not is_farey_neighbor(self.left_index, self.right_index):
-            raise ValueError(
-                f"indices are not Farey neighbors: {self.left_index}, {self.right_index}"
-            )
+    def __init__(
+        self, left: FreeWord, right: FreeWord, left_index: ExtRational, right_index: ExtRational
+    ) -> None:
+        if not left_index < right_index:
+            raise ValueError(f"indices out of order: {left_index} >= {right_index}")
+        if not is_farey_neighbor(left_index, right_index):
+            raise ValueError(f"indices are not Farey neighbors: {left_index}, {right_index}")
+        self.__dict__.update(
+            left=left, right=right, left_index=left_index, right_index=right_index
+        )
 
     @staticmethod
     def _trusted(left, right, li, ri) -> "GeneratorPair":
-        # For indices known to be ordered neighbors: skips __post_init__.
+        # For indices known to be ordered neighbors: skips __init__.
         pair = object.__new__(GeneratorPair)
         pair.__dict__.update(left=left, right=right, left_index=li, right_index=ri)
         return pair
@@ -195,21 +191,21 @@ def _arrow_chain(data: dict) -> list[str]:
     return lines
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    preserved: str
-    pair: GeneratorPair
+class StepRecord(_Frozen):
+    __match_args__ = ("preserved", "pair")
+
+    def __init__(self, preserved: str, pair: GeneratorPair) -> None:
+        self.__dict__.update(preserved=preserved, pair=pair)
 
 
-@dataclass(frozen=True)
-class StepTrace:
+class StepTrace(_Frozen):
     """Full history of a sequence-driven run, one record per step."""
 
-    sequence: ESequence
-    initial: GeneratorPair
-    steps: tuple[StepRecord, ...]
-    # set by run_esequence alone: its steps are the machine's own products
-    _by_machine: bool = field(default=False, init=False, repr=False, compare=False)
+    __match_args__ = ("sequence", "initial", "steps")
+
+    def __init__(self, sequence: ESequence, initial: GeneratorPair, steps: tuple) -> None:
+        # _by_machine is no field: run_esequence sets it, its steps being the machine's own
+        self.__dict__.update(sequence=sequence, initial=initial, steps=steps, _by_machine=False)
 
     @property
     def final(self) -> GeneratorPair:
@@ -288,5 +284,5 @@ def run_esequence(seq: ESequence) -> StepTrace:
             pair = _step(pair, side, _upper_first(x.p + y.p, x.q + y.q))
             records.append(StepRecord(side, pair))
     trace = StepTrace(seq, start, tuple(records))
-    object.__setattr__(trace, "_by_machine", True)
+    trace.__dict__["_by_machine"] = True
     return trace

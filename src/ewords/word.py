@@ -2,10 +2,10 @@
 
 A word is a tuple of (letter, exponent) runs with nonzero exponents and no
 two adjacent runs on the same letter; the empty tuple is the identity.
-Words are immutable and every operation returns a new word.  Validation
-happens at the public constructors (``FreeWord(...)``, ``from_runs``,
-``parse``); a product of valid words copies their runs once, cancelling and
-merging only at the seam, and powers are built by repeated squaring.
+Words are plain frozen classes and every operation returns a new word.
+Validation happens in ``FreeWord(...)``, which ``from_runs`` and ``parse``
+call; a product of valid words skips it, copying their runs once and merging
+only at the seam, and powers are built by repeated squaring.
 
 Two renderings exist: the internal {a, b} alphabet, and an {A, B} view
 related by a = A^-1 and b = B.  Parsing and formatting translate between
@@ -15,9 +15,10 @@ them; the stored runs always use {a, b}.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable
+
+from .farey import _Frozen
 
 GENERATORS = ("a", "b")
 ALPHABETS = ("ab", "AB")
@@ -31,12 +32,11 @@ def _check_alphabet(alphabet: str) -> tuple[str, str]:
     return ("a", "b") if alphabet == "ab" else ("A", "B")
 
 
-@dataclass(frozen=True)
-class FreeWord:
-    runs: tuple[tuple[str, int], ...] = ()
+class FreeWord(_Frozen):
+    __match_args__ = ("runs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "runs", tuple(tuple(r) for r in self.runs))
+    def __init__(self, runs: tuple[tuple[str, int], ...] = ()) -> None:
+        object.__setattr__(self, "runs", tuple(tuple(r) for r in runs))
         prev = None
         for g, e in self.runs:
             if g not in GENERATORS:
@@ -47,9 +47,18 @@ class FreeWord:
                 raise ValueError("word is not reduced: adjacent runs share a letter")
             prev = g
 
+    def __eq__(self, other: object) -> bool:
+        # the 1-tuples keep the identity shortcut of tuple comparison
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.runs,) == (other.runs,)
+
+    def __hash__(self) -> int:
+        return hash((self.runs,))
+
     @staticmethod
     def _trusted(runs: tuple[tuple[str, int], ...]) -> "FreeWord":
-        # For runs already reduced and valid: skips __post_init__.
+        # For runs already reduced and valid: skips __init__.
         w = object.__new__(FreeWord)
         object.__setattr__(w, "runs", runs)
         return w

@@ -4,6 +4,7 @@ import json
 import re
 import shlex
 import tracemalloc
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -234,6 +235,15 @@ def reference_trace(text, fmt, alphabet):
     return json.dumps(data, indent=2) + "\n"
 
 
+def first_difference(got, want):
+    """The first line where two texts part, cut short: pytest's own diff of
+    two long texts is slow enough to stall Hypothesis's shrinking."""
+    for i, (g, w) in enumerate(zip_longest(got.splitlines(), want.splitlines()), 1):
+        if g != w:
+            return f"line {i}: {g!r:.80} != {w!r:.80}"
+    return "the texts differ only in line ends"
+
+
 @st.composite
 def small_sequences(draw, limit=3000):
     """Sequences of at most 8 entries, each at most 40, cut where the value's
@@ -300,7 +310,9 @@ class TestTraceRendering:
                 with contextlib.redirect_stdout(out):
                     code = main(["trace", text, "--format", fmt, "--alphabet", alphabet])
                 assert code == 0
-                assert out.getvalue() == reference_trace(text, fmt, alphabet), (fmt, alphabet)
+                got, want = out.getvalue(), reference_trace(text, fmt, alphabet)
+                same = got == want
+                assert same, (fmt, alphabet, first_difference(got, want))
 
     @settings(max_examples=60, deadline=None)
     @given(small_sequences(), st.sampled_from(["ab", "AB"]))
@@ -309,7 +321,8 @@ class TestTraceRendering:
         with contextlib.redirect_stdout(out):
             code = main(["trace", str(seq), "--format", "json", "--alphabet", alphabet])
         want = json.dumps(run_esequence(seq).to_dict(alphabet), indent=2) + "\n"
-        assert (code, out.getvalue()) == (0, want)
+        same = (code, out.getvalue()) == (0, want)
+        assert same, (code, first_difference(out.getvalue(), want))
 
     @settings(max_examples=60, deadline=None)
     @given(small_sequences(), st.sampled_from(["ab", "AB"]))

@@ -65,8 +65,19 @@ import contextlib, io, sys
 import ewords, ewords.cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert ewords.cli.main(["compute", "68/13"]) == 0
+    assert ewords.cli.main(["trace", "[5;4,3]"]) == 0
     assert ewords.cli.main(["trace", "[5;4,3]", "--format", "json"]) == 0
-assert "ewords.verify" not in sys.modules
+loaded = {"dataclasses", "inspect", "json", "ewords.verify"} & set(sys.modules)
+assert not loaded, loaded
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert ewords.cli.main(["compute", "68/13", "--format", "json"]) == 0
+assert "json" in sys.modules
+import json
+w = ewords.e_word(ewords.ExtRational(68, 13))
+data = dict(index="68/13", mode="orphan", alphabet="ab", word=w.format(), runs=w.to_pairs())
+data.update(length=w.length, palindrome=w.is_palindrome())
+assert out.getvalue() == json.dumps(data, indent=2) + "\\n"
 names = dir(ewords)
 assert ewords.sweep is ewords.verify.sweep and "ewords.verify" in sys.modules
 assert dir(ewords) == names and all(hasattr(ewords, n) for n in names)

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -311,11 +310,13 @@ class TestRunESequence:
     ):
         # [1;2] changes the left word once, then the right word twice
         real = run_esequence(ESequence((1, 2)))
-        pairs = [replace(real.initial, left=W(start[0]), right=W(start[1]))]
+        li, ri = real.initial.left_index, real.initial.right_index
+        pairs = [GeneratorPair(W(start[0]), W(start[1]), li, ri)]
         for rec, word in zip(real.steps, words):
             side = "left" if rec.preserved == "right" else "right"
             kept = getattr(pairs[-1], rec.preserved)
-            pairs.append(replace(rec.pair, **{side: W(word), rec.preserved: kept}))
+            indices = dict(left_index=rec.pair.left_index, right_index=rec.pair.right_index)
+            pairs.append(GeneratorPair(**{side: W(word), rec.preserved: kept}, **indices))
         records = tuple(StepRecord(r.preserved, p) for r, p in zip(real.steps, pairs[1:]))
         trace = StepTrace(real.sequence, pairs[0], records)
         want = [(p.left.format(alphabet), p.right.format(alphabet)) for p in pairs]
@@ -460,7 +461,7 @@ class TestMachineTrust:
             assert texts == [(p.left.format(alphabet), p.right.format(alphabet)) for p in pairs]
             lines = t.format_lines(alphabet)
             assert not spelled
-            for other in (copy, replace(t)):
+            for other in (copy, StepTrace(t.sequence, t.initial, t.steps)):
                 assert json.dumps(other.to_dict(alphabet)) == json.dumps(d)
                 assert other.format_lines(alphabet) == lines
                 assert len(spelled) == 4 * len(t.steps)
@@ -473,4 +474,4 @@ class TestMachineTrust:
             m.setattr(FreeWord, "exponent_sum", None)
             dicts = [t.to_dict() for t in traces]
         for t, d in zip(traces, dicts):
-            assert d == replace(t).to_dict(), t.sequence
+            assert d == StepTrace(t.sequence, t.initial, t.steps).to_dict(), t.sequence
