@@ -2,10 +2,11 @@
 
 Every extended rational p/q in lowest terms names one distinguished
 primitive word over two generators.  The package builds each word with one
-walk: a palindrome-aware stepping machine driven by the continued-fraction
-entries of the index.  Closed forms for integer and reciprocal indices,
-independent oracles (the literal parent-product recursion on the Farey
-tree among them) and exhaustive cross-checks tie the routes together.
+walk down the continued fraction of the index, reading each block's
+product order off the parity of the indices.  A palindrome-aware stepping
+machine, closed forms for integer and reciprocal indices, independent
+oracles (the literal parent-product recursion on the Farey tree among
+them) and exhaustive cross-checks tie the routes together.
 """
 
 from .enumeration import (

@@ -3,12 +3,14 @@
 Subcommands: compute (word at an index), trace (run a stepping sequence),
 parents / cf / level (index arithmetic), verify (property sweep), count
 (length counting).  Exit codes: 0 success, 1 a verification-style command
-found a mismatch, 2 usage, parse or resource (memory, overflow) errors.
+found a mismatch, 2 usage, parse or resource (memory, overflow) errors, or
+output that cannot be written (a closed pipe, a full disk).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -247,9 +249,18 @@ def main(argv: list[str] | None = None) -> int:
     _parser = _parser or build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe or a full disk shows here, not at exit
+        return code
     except (ValueError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # stdout cannot be written: a closed pipe, a full disk
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        # what stdout still buffers goes to devnull, so the final flush raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
 
 

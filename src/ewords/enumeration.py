@@ -7,11 +7,10 @@ first, even the lower's.  The index of a product is always the mediant of
 the factors' indices, so the word at p/q has |p| b-letters and q
 a-letters, and it is a palindrome exactly when p * q is even.
 
-e_word builds the word by walking the Stern-Brocot path of the continued
-fraction with the stepper's run_preserving blocks, whose palindrome order
-rule yields the same products as the parity rule.  The two modes, orphan
-and shortcut, run the same walk and produce identical words.  Negative
-indices mirror positive ones with the sign of every a-exponent flipped.
+e_word walks the Stern-Brocot path of the continued fraction once, one
+block of mediants per entry.  The two modes, orphan and shortcut, run the
+same walk.  Negative indices mirror positive ones with the sign of every
+a-exponent flipped.
 
 A shell of radius n holds every index p/q with |p| + q <= n.  One
 depth-first Stern-Brocot descent meets a shell's indices in increasing
@@ -27,7 +26,6 @@ from math import gcd
 from typing import Iterator
 
 from .farey import INFINITY, ZERO, ExtRational, _upper_first, to_continued_fraction
-from .stepper import GeneratorPair, run_preserving
 from .word import FreeWord
 
 MODES = ("orphan", "shortcut")
@@ -38,25 +36,25 @@ _B = FreeWord.letter("b")
 def e_word(x: ExtRational, mode: str = "orphan") -> FreeWord:
     """The word at index x, built by one walk down the continued fraction of |x|.
 
-    The walk starts from the pair (a, b) at (0/1, 1/0) and takes one
-    run_preserving block per nonzero entry: even positions preserve the
-    right word, odd positions the left.  The side changed last carries the
-    word.  Negative x starts from (a^-1, b) instead; the walk only forms
-    products and powers of the two start words, and a -> a^-1 keeps
-    palindromes palindromes, so this yields the letter mirror of the
-    positive word.  Both modes run this walk.
+    From a at 0/1 and b at 1/0, entry i moves one end (p, q, w) n mediants
+    toward the fixed end (r, s, f): the lower end when i is even, the
+    upper when i is odd.  The k-th mediant's parity depends only on k mod
+    2, so the order rule at k = 1, 2 gives v, the steps that put f first,
+    and the block yields f^v w f^(n-v).  The end moved last carries the
+    word.  Negative x starts from a^-1: the letter mirror.  Both modes run
+    this walk.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if x.is_infinite:
         return _B
-    s = -1 if x.is_negative else 1
-    entries = to_continued_fraction(ExtRational(abs(x.p), x.q)).entries
-    pair = GeneratorPair(FreeWord.letter("a", s), _B, ZERO, INFINITY)
-    for i, n in enumerate(entries):
-        if n:
-            pair = run_preserving(pair, "right" if i % 2 == 0 else "left", n)
-    return pair.left if len(entries) % 2 else pair.right
+    (p, q, w), (r, s, f) = (0, 1, FreeWord.letter("a", -1 if x.is_negative else 1)), (1, 0, _B)
+    for i, n in enumerate(to_continued_fraction(ExtRational(abs(x.p), x.q)).entries):
+        # f is the upper end's word when i is even, the lower's when i is odd
+        v = (n + 1) // 2 * (_upper_first(p + r, q + s) != i % 2)
+        v += n // 2 * (_upper_first(p + 2 * r, q + 2 * s) != i % 2)
+        (p, q, w), (r, s, f) = (r, s, f), (p + n * r, q + n * s, f**v * w * f ** (n - v))
+    return f
 
 
 # Parity profile ('e'/'o' for p, q, r, s) of an ordered neighbor pair

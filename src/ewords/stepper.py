@@ -130,10 +130,11 @@ def run_preserving(pair: GeneratorPair, preserve: str, n: int) -> GeneratorPair:
     With the preserved word A and the other word M the block yields
     A^x M A^(n-x).  A non-palindrome A takes every product on its own
     side: x = n preserving the left, 0 preserving the right.  A palindrome
-    A does so only while M is not a palindrome (states the machine visits
-    need at most one such step); then the order alternates, and over the
-    k steps left x = k // 2 on the left, (k + 1) // 2 on the right.
-    Agrees with n iterated steps.
+    A does so only while M is not a palindrome; then the order alternates,
+    and over the k steps left x = k // 2 on the left, (k + 1) // 2 on the
+    right.  A^t M is a palindrome for at most one t, and then t < |M|, so
+    after |M| such products M never becomes one.  Agrees with n iterated
+    steps.
     """
     _check_side(preserve)
     if n < 1:
@@ -142,13 +143,16 @@ def run_preserving(pair: GeneratorPair, preserve: str, n: int) -> GeneratorPair:
     anchor, moving = (pair.left, pair.right) if left else (pair.right, pair.left)
     ai, mi = (pair.left_index, pair.right_index) if left else (pair.right_index, pair.left_index)
     k = n
-    if not anchor.is_palindrome():
-        x = n if left else 0
-    else:
-        while k and not moving.is_palindrome():
+    if anchor.is_palindrome():
+        for _ in range(min(n, moving.length)):
+            if moving.is_palindrome():
+                break
             moving = anchor * moving if left else moving * anchor
             k -= 1
+    if anchor.is_palindrome() and moving.is_palindrome():
         x = k // 2 if left else (k + 1) // 2
+    else:
+        x = k if left else 0
     new = anchor**x * moving * anchor ** (k - x)
     # n successive mediants against the fixed anchor index
     mi = ExtRational(mi.p + n * ai.p, mi.q + n * ai.q)

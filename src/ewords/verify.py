@@ -84,7 +84,7 @@ def oracle_e_word(x: ExtRational) -> FreeWord:
 
     Negative indices go through the letter mirror a -> a^-1 applied to
     the positive word.  Production e_word walks the continued fraction
-    with the stepper's blocks instead and never splits an index into
+    one parity block per entry instead and never splits an index into
     parents.
     """
     return _oracle_word(x, {})

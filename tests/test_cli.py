@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from itertools import zip_longest
 from pathlib import Path
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ewords
 from ewords import ESequence, FreeWord, e_word, parse_rational, run_esequence
 from ewords.cli import _json_runs, _trace_json, build_parser, main
 from ewords.verify import canonical_sequences
@@ -427,6 +431,37 @@ class TestParser:
 
     def test_prog_name(self):
         assert build_parser().prog == "eword"
+
+
+class TestUnwritableOutput:
+    # a closed pipe or a full disk: exit 2 with one error line, not 1 with a traceback
+
+    def start(self, stdout, *argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(ewords.__file__).parents[1])}
+        return subprocess.Popen(
+            [sys.executable, "-m", "ewords", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+
+    def test_closed_pipe(self):
+        # 2 MB of output: the child blocks on the full pipe until its reader leaves
+        with self.start(subprocess.PIPE, "trace", "[1;1000]") as proc:
+            assert len(proc.stdout.read(20)) == 20
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 2
+        assert err == "error: cannot write output: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["compute", "68/13"], ["trace", "[1;1000]"]])
+    def test_full_disk(self, argv):
+        with open("/dev/full", "w") as full, self.start(full, *argv) as proc:
+            err = proc.stderr.read()
+        assert proc.returncode == 2
+        assert err == "error: cannot write output: No space left on device\n"
 
 
 def readme_examples():

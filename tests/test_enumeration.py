@@ -1,4 +1,5 @@
 import tracemalloc
+from math import gcd
 
 import pytest
 from hypothesis import assume, given
@@ -22,13 +23,14 @@ from ewords import (
     parity_pattern,
     sign_rule,
 )
-from ewords.enumeration import count_ewords_of_length
+from ewords.enumeration import count_ewords_of_length, enumerate_ewords
 from ewords.verify import (
     neighbor_pairs,
     oracle_e_word,
     rational_indices,
     recursion_call_count,
 )
+from oracles import christoffel_letters, letters
 
 W = FreeWord.parse
 
@@ -112,6 +114,24 @@ class TestEWord:
         assert w.factor_count("b") == abs(x.p)
         assert w.factor_count("a") == x.q
         assert w.length == abs(x.p) + x.q
+
+    @pytest.mark.parametrize("mode", ["orphan", "shortcut"])
+    def test_walk_tests_no_palindromes(self, monkeypatch, mode):
+        # the walk reads each block's order off index parity, never off its words
+        expected = enumerate_ewords(30, mode)
+
+        def refuse(self):
+            raise AssertionError("e_word tested a word for palindromy")
+
+        monkeypatch.setattr(FreeWord, "is_palindrome", refuse)
+        assert {x: e_word(x, mode) for x in expected} == expected
+
+    @given(
+        st.integers(min_value=-3000, max_value=3000), st.integers(min_value=1, max_value=3000)
+    )
+    def test_spells_rotated_christoffel_word(self, p, q):
+        assume(gcd(abs(p), q) == 1)
+        assert letters(e_word(ExtRational(p, q))) == christoffel_letters(p, q)
 
     @given(indexish)
     def test_negative_is_letter_mirror(self, pq):

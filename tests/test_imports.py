@@ -60,6 +60,11 @@ def test_production_modules_do_not_import_verify():
         assert "__init__" not in graph[name], name
 
 
+def test_enumeration_does_not_import_stepper():
+    # e_word is its own parity walk, not a chain of run_preserving blocks
+    assert "stepper" not in import_graph()["enumeration"]
+
+
 LAZY_VERIFY = """
 import contextlib, io, sys
 import ewords, ewords.cli

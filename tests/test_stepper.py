@@ -201,6 +201,17 @@ class TestRunPreserving:
         state = pair_of("a", "a b", (0, 1), (1, 0))
         assert run_preserving(state, "left", 2) == pair_of("a", "a^3 b", (0, 1), (1, 2))
 
+    def test_long_block_on_palindrome_anchor(self):
+        # b a^-1 and a^-1 b never become palindromes, so every step takes the anchor's side
+        state = pair_of("a", "b a^-1", (0, 1), (1, 1))
+        assert run_preserving(state, "left", 10**12) == pair_of(
+            "a", "a^1000000000000 b a^-1", (0, 1), (1, 10**12 + 1)
+        )
+        state = pair_of("a^-1 b", "b", (0, 1), (1, 0))
+        assert run_preserving(state, "right", 10**12) == pair_of(
+            "a^-1 b^1000000000001", "b", (10**12, 1), (1, 0)
+        )
+
     def test_long_block_on_non_palindromes(self):
         state = pair_of("a b a^-1", "b a", (0, 1), (1, 0))
         assert run_preserving(state, "left", 10**12) == pair_of(
