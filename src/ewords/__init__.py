@@ -26,47 +26,43 @@ from .farey import (
     parse_rational,
     to_continued_fraction,
 )
-from .stepper import (
-    ESequence,
-    GeneratorPair,
-    StepTrace,
-    run_esequence,
-    run_preserving,
-    step,
-)
 from .word import FreeWord
 
-# Outside the production API but still importable from here: the closed
-# forms, index helpers, oracles, parity tables and sweep parts.
-from .enumeration import PARITY_ROWS, neighbor_pairs
+# Index helpers outside the production API, still importable from here.
+from .enumeration import neighbor_pairs
 from .farey import evaluate_entries, farey_sum, from_continued_fraction
 from .farey import is_farey_neighbor, normalize, parse_continued_fraction
-from .stepper import StepRecord, initial_pair
 
-# The oracles and the sweep load on first use (PEP 562): only `eword verify`
-# and checking code need them.
-_FROM_VERIFY = frozenset(
-    """SweepReport sweep EXCLUDED_ROWS ShapeMismatch SweepCheck SweepFailure
-    child_word closed_form_stop exponent_form_check e_word_integer
+# The stepping machine, and verify's closed forms, oracles, parity tables
+# and sweep, load on first use (PEP 562): only `eword trace`, `eword verify`
+# and checking code need them.  Each module is served under its own name too.
+_LAZY = dict.fromkeys(
+    """stepper ESequence GeneratorPair StepTrace run_esequence run_preserving step
+    StepRecord initial_pair""".split(),
+    "stepper",
+) | dict.fromkeys(
+    """verify SweepReport sweep EXCLUDED_ROWS PARITY_ROWS ShapeMismatch SweepCheck
+    SweepFailure child_word closed_form_stop exponent_form_check e_word_integer
     e_word_reciprocal sign_rule canonical_sequences matches_excluded_row
     oracle_e_word oracle_parents parity_pattern recursion_call_count
-    table_sequences""".split()
+    table_sequences""".split(),
+    "verify",
 )
 
 
 def __getattr__(name: str):
-    if name != "verify" and name not in _FROM_VERIFY:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    verify = import_module(".verify", __name__)
-    return verify if name == "verify" else getattr(verify, name)
+    module = import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
 
 
 def __dir__() -> list[str]:
-    # the names an eager import of verify would show, and no more
-    hidden = {"_FROM_VERIFY", "__getattr__", "__dir__"}
-    return sorted({*globals(), *_FROM_VERIFY, "verify"} - hidden)
+    # the names eager imports of stepper and verify would show, and no more
+    hidden = {"_LAZY", "__getattr__", "__dir__"}
+    return sorted({*globals(), *_LAZY} - hidden)
 
 
 __version__ = "0.1.0"

@@ -2,9 +2,10 @@
 
 Subcommands: compute (word at an index), trace (run a stepping sequence),
 parents / cf / level (index arithmetic), verify (property sweep), count
-(length counting).  Exit codes: 0 success, 1 a verification-style command
-found a mismatch, 2 usage, parse or resource (memory, overflow) errors, or
-output that cannot be written (a closed pipe, a full disk).
+(length counting); only trace loads the stepping machine, only verify the
+oracles.  Exit codes: 0 success, 1 a verification-style command found a
+mismatch, 2 usage, parse or resource (memory, overflow) errors, or output
+that cannot be written (a closed pipe, a full disk).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import sys
 
 from .enumeration import MODES, count_ewords_of_length, e_word
 from .farey import farey_level, parents, parse_rational, to_continued_fraction
-from .stepper import ESequence, _arrow_chain, run_esequence
 from .word import ALPHABETS, FreeWord
 
 
@@ -107,6 +107,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .stepper import ESequence, _arrow_chain, run_esequence  # loaded only here
+
     data = run_esequence(ESequence.parse(args.esequence)).to_dict(args.alphabet)
     if args.format == "json":
         print(_trace_json(data))

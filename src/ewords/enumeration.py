@@ -57,19 +57,6 @@ def e_word(x: ExtRational, mode: str = "orphan") -> FreeWord:
     return f
 
 
-# Parity profile ('e'/'o' for p, q, r, s) of an ordered neighbor pair
-# p/q < r/s determines the parity of the mediant's numerator * denominator,
-# and with it the product order.  Exactly these six profiles can occur.
-PARITY_ROWS = {
-    ("e", "o", "o", "e"): "odd",
-    ("o", "o", "e", "o"): "even",
-    ("o", "o", "o", "e"): "even",
-    ("o", "e", "e", "o"): "odd",
-    ("e", "o", "o", "o"): "even",
-    ("o", "e", "o", "o"): "even",
-}
-
-
 def rational_indices(bound: int) -> list[ExtRational]:
     """All indices with |p| + q <= bound, in increasing order (∞ last)."""
     if bound < 1:

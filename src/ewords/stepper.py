@@ -130,11 +130,9 @@ def run_preserving(pair: GeneratorPair, preserve: str, n: int) -> GeneratorPair:
     With the preserved word A and the other word M the block yields
     A^x M A^(n-x).  A non-palindrome A takes every product on its own
     side: x = n preserving the left, 0 preserving the right.  A palindrome
-    A does so only while M is not a palindrome; then the order alternates,
-    and over the k steps left x = k // 2 on the left, (k + 1) // 2 on the
-    right.  A^t M is a palindrome for at most one t, and then t < |M|, so
-    after |M| such products M never becomes one.  Agrees with n iterated
-    steps.
+    A does so until A^t M (M A^t on the right) is a palindrome, if ever;
+    then the order alternates, and over the k steps left x = k // 2 on the
+    left, (k + 1) // 2 on the right.  Agrees with n iterated steps.
     """
     _check_side(preserve)
     if n < 1:
@@ -142,35 +140,37 @@ def run_preserving(pair: GeneratorPair, preserve: str, n: int) -> GeneratorPair:
     left = preserve == "left"
     anchor, moving = (pair.left, pair.right) if left else (pair.right, pair.left)
     ai, mi = (pair.left_index, pair.right_index) if left else (pair.right_index, pair.left_index)
-    k = n
+    k, x = n, n if left else 0
     if anchor.is_palindrome():
-        for _ in range(min(n, moving.length)):
-            if moving.is_palindrome():
-                break
-            moving = anchor * moving if left else moving * anchor
-            k -= 1
-    if anchor.is_palindrome() and moving.is_palindrome():
+        # M A^t is a palindrome exactly when A^t reverse(M) is
+        t = _palindrome_power(anchor, moving if left else moving.reverse(), n)
+        moving = anchor**t * moving if left else moving * anchor**t
+        k -= t
         x = k // 2 if left else (k + 1) // 2
-    else:
-        x = k if left else 0
     new = anchor**x * moving * anchor ** (k - x)
     # n successive mediants against the fixed anchor index
     mi = ExtRational(mi.p + n * ai.p, mi.q + n * ai.q)
     return GeneratorPair(anchor, new, ai, mi) if left else GeneratorPair(new, anchor, mi, ai)
 
 
-def _spell(w: FreeWord, known: tuple[tuple[FreeWord, str], ...], alphabet: str) -> str:
-    """w's text from known (word, text) pairs: a kept word's own text, or
-    the text of a seam product of two of them.  Anything else (a
-    cancellation, a word that is no such product) is formatted afresh.
-    """
-    for x, y in zip(known, known[::-1]):
-        if x[0] == w:
-            return x[1]
-        u, v = x[0].runs, y[0].runs
-        if u and v and v[0] != (u[-1][0], -u[-1][1]) and x[0] * y[0] == w:
-            return _seam_text(x, y, alphabet)
-    return w.format(alphabet)
+def _palindrome_power(anchor: FreeWord, moving: FreeWord, n: int) -> int:
+    """The least t in 0..n with anchor^t moving a palindrome, else n."""
+    if moving.is_palindrome():
+        return 0
+    runs = moving.runs
+    if len(anchor.runs) != 1:  # then t <= len(runs), if there is one
+        for t in range(1, min(n, len(runs)) + 1):
+            moving = anchor * moving
+            if moving.is_palindrome():
+                return t
+        return n
+    # moving = g^f rest, rest not starting on g, so anchor^t moving = g^(et + f) rest:
+    # a palindrome only if et + f is the exponent of rest's last run when that is
+    # a g-run, else 0 (then rest itself is the palindrome)
+    ((g, e),) = anchor.runs
+    f = runs[0][1] if runs[0][0] == g else 0
+    t, r = divmod((runs[-1][1] if runs[-1][0] == g else 0) - f, e)
+    return t if r == 0 and 0 < t <= n and (anchor**t * moving).is_palindrome() else n
 
 
 def _seam_text(x: tuple[FreeWord, str], y: tuple[FreeWord, str], alphabet: str) -> str:
@@ -243,13 +243,13 @@ class StepTrace(_Frozen):
         left, right = self.initial.left.format(alphabet), self.initial.right.format(alphabet)
         texts = [(left, right)]
         for prev, pair, rec in zip(pairs, pairs[1:], self.steps):
-            known = ((prev.left, left), (prev.right, right))
             if self._by_machine:  # the changed word is the product in the parity order
+                known = ((prev.left, left), (prev.right, right))
                 m = pair.right_index if rec.preserved == "left" else pair.left_index
                 word = _seam_text(*known[:: -1 if _upper_first(m.p, m.q) else 1], alphabet)
                 left, right = (left, word) if rec.preserved == "left" else (word, right)
             else:
-                left, right = (_spell(w, known, alphabet) for w in (pair.left, pair.right))
+                left, right = pair.left.format(alphabet), pair.right.format(alphabet)
             texts.append((left, right))
         dicts = [
             dict(left=lt, right=rt, left_index=str(p.left_index), right_index=str(p.right_index))

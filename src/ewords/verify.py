@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
-from .enumeration import MODES, PARITY_ROWS, count_ewords_of_length, e_word, neighbor_pairs
+from .enumeration import MODES, count_ewords_of_length, e_word, neighbor_pairs
 from .enumeration import enumerate_ewords, rational_indices
 from .farey import INFINITY, ZERO, ExtRational, _bracket, evaluate_entries, farey_level
 from .farey import farey_sum, from_continued_fraction, is_farey_neighbor, normalize, parents
@@ -126,9 +126,20 @@ def child_word(
     return child, wy * wx if (child.p * child.q) % 2 else wx * wy
 
 
-# Impossible parity profiles of a neighbor pair (None = either parity): a
+# The parity profile ('e'/'o' for p, q, r, s) of an ordered neighbor pair
+# p/q < r/s determines the parity of the mediant's numerator * denominator,
+# and with it the product order.  Exactly the six PARITY_ROWS occur.  The
+# EXCLUDED_ROWS (None = either parity) match every other profile: a
 # numerator-denominator pair in lowest terms is never even/even, and the
 # neighbor determinant rules out the three alternating/all-odd shapes.
+PARITY_ROWS = {
+    ("e", "o", "o", "e"): "odd",
+    ("o", "o", "e", "o"): "even",
+    ("o", "o", "o", "e"): "even",
+    ("o", "e", "e", "o"): "odd",
+    ("e", "o", "o", "o"): "even",
+    ("o", "e", "o", "o"): "even",
+}
 EXCLUDED_ROWS = (
     ("e", "e", None, None),
     (None, None, "e", "e"),
@@ -619,10 +630,9 @@ def _counting_cases(max_length: int) -> Iterator[Case]:
 def sweep(bound: int) -> SweepReport:
     """Run every cross-module property exhaustively over one shell.
 
-    The word-vs-oracle comparison runs the literal parent recursion with
-    one memo for the whole sweep, but its splitting-search parents still
-    make the time grow faster than the shell: about 0.2 s at bound 25,
-    0.5 s at 40 and 1.4 s at 60 on a 2-core Xeon under Python 3.11.
+    The time grows faster than the shell: oracle_parents, an O(pq)
+    splitting search, runs once per index in word-vs-oracle (one memo for
+    the whole sweep) and again in parents-vs-splitting-oracle.
     """
     if bound < 2:
         raise ValueError(f"sweep bound must be at least 2, got {bound}")

@@ -14,6 +14,7 @@ from ewords import (
     ESequence,
     ExtRational,
     FreeWord,
+    PARITY_ROWS,
     canonical_sequences,
     closed_form_stop,
     child_word,
@@ -27,7 +28,6 @@ from ewords import (
     run_esequence,
     table_sequences,
 )
-from ewords.enumeration import PARITY_ROWS
 
 from test_stepper import CHAIN_0_3_4, CHAIN_4_3_2, CHAIN_5_4_3
 

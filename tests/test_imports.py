@@ -65,27 +65,44 @@ def test_enumeration_does_not_import_stepper():
     assert "stepper" not in import_graph()["enumeration"]
 
 
-LAZY_VERIFY = """
+LAZY_LOADS = """
 import contextlib, io, sys
 import ewords, ewords.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert ewords.cli.main(["compute", "68/13"]) == 0
-    assert ewords.cli.main(["trace", "[5;4,3]"]) == 0
-    assert ewords.cli.main(["trace", "[5;4,3]", "--format", "json"]) == 0
-loaded = {"dataclasses", "inspect", "json", "ewords.verify"} & set(sys.modules)
-assert not loaded, loaded
+fresh_names = dir(ewords)
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ewords.cli.main(list(argv)) == 0, argv
+
+
+def loaded(*modules):
+    return set(modules) & set(sys.modules)
+
+
+commands = [("compute", "68/13"), ("parents", "68/13"), ("cf", "68/13"), ("level", "5/3")]
+commands.append(("count", "12"))
+for argv in commands:
+    run(*argv)
+assert not loaded("dataclasses", "inspect", "json", "ewords.stepper", "ewords.verify")
+for argv in commands[1:]:
+    run(*argv, "--format", "json")
+assert not loaded("dataclasses", "inspect", "ewords.stepper", "ewords.verify")
+run("trace", "[5;4,3]")
+run("trace", "[5;4,3]", "--format", "json")
+assert loaded("ewords.stepper") and not loaded("dataclasses", "inspect", "ewords.verify")
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     assert ewords.cli.main(["compute", "68/13", "--format", "json"]) == 0
-assert "json" in sys.modules
 import json
 w = ewords.e_word(ewords.ExtRational(68, 13))
 data = dict(index="68/13", mode="orphan", alphabet="ab", word=w.format(), runs=w.to_pairs())
 data.update(length=w.length, palindrome=w.is_palindrome())
 assert out.getvalue() == json.dumps(data, indent=2) + "\\n"
-names = dir(ewords)
-assert ewords.sweep is ewords.verify.sweep and "ewords.verify" in sys.modules
-assert dir(ewords) == names and all(hasattr(ewords, n) for n in names)
+assert ewords.sweep is ewords.verify.sweep and loaded("ewords.verify")
+assert ewords.run_esequence is ewords.stepper.run_esequence
+assert ewords.PARITY_ROWS is ewords.verify.PARITY_ROWS
+assert dir(ewords) == fresh_names and all(hasattr(ewords, n) for n in fresh_names)
 star = {}
 exec("from ewords import *", star)
 assert set(star) - {"__builtins__"} == set(ewords.__all__)
@@ -93,9 +110,52 @@ assert set(star) - {"__builtins__"} == set(ewords.__all__)
 
 
 def test_verify_loads_only_when_asked():
-    # a fresh interpreter: this test process has long since imported verify
+    # a fresh interpreter: this test process has long since imported verify;
+    # compute, parents, cf, level and count load neither stepper nor verify
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     result = subprocess.run(
-        [sys.executable, "-c", LAZY_VERIFY], env=env, capture_output=True, text=True
+        [sys.executable, "-c", LAZY_LOADS], env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def ewords_imports(source: str) -> set[str]:
+    """Names a source takes from ewords ("cli" for ewords.cli), with those of
+    any script it holds as a string constant, such as a timer it runs."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "ewords" and not node.level:
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                root, _, sub = alias.name.partition(".")
+                if root == "ewords":
+                    names.add(sub or "ewords")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                names |= ewords_imports(node.value)
+            except (SyntaxError, ValueError):  # not Python source
+                pass
+    return names
+
+
+def test_benchmark_import_surface():
+    # the benchmark's first act is to import these; a missing name ends a run
+    wanted = set()
+    for name in ("workloads.py", "run.py"):
+        wanted |= ewords_imports((BENCH / name).read_text(encoding="utf-8"))
+    assert {"ESequence", "run_esequence", "sweep", "oracle_e_word", "cli"} <= wanted
+    names = sorted(wanted - {"cli", "ewords"})
+    script = (
+        f"import sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "import ewords, ewords.cli\n"
+        f"from ewords import {', '.join(names)}\n"
+    )
+    # -I: no PYTHONPATH, no script directory, so only src supplies ewords
+    result = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    # the setup timer parses what the import prints
+    assert result.stdout == ""

@@ -23,7 +23,6 @@ from ewords import (
     run_preserving,
     step,
 )
-from ewords import stepper
 from ewords.verify import canonical_sequences, table_sequences
 
 from test_word import words
@@ -157,6 +156,26 @@ class TestStep:
             step(initial_pair(), "up")
 
 
+def iterate(state, side, n):
+    for _ in range(n):
+        state = step(state, side)
+    return state
+
+
+runs = st.tuples(st.sampled_from("ab"), st.integers(-4, 4))
+short_words = st.lists(runs, max_size=12).map(FreeWord.from_runs)
+# a palindromic run list reduces to a palindrome
+palindromes = st.builds(
+    lambda half, mid: FreeWord.from_runs([*half, mid, *half[::-1]]),
+    st.lists(runs, max_size=4),
+    runs,
+)
+palindrome_anchors = st.one_of(
+    st.builds(FreeWord.letter, st.sampled_from("ab"), st.integers(-9, 9).filter(bool)),
+    palindromes.filter(lambda w: len(w.runs) > 1),
+)
+
+
 class TestRunPreserving:
     def test_examples(self):
         assert run_preserving(initial_pair(), "right", 5) == pair_of(
@@ -211,6 +230,44 @@ class TestRunPreserving:
         assert run_preserving(state, "right", 10**12) == pair_of(
             "a^-1 b^1000000000001", "b", (10**12, 1), (1, 0)
         )
+
+    @pytest.mark.parametrize(
+        "left, right, side, extra, want",
+        [
+            ("a", "a^-{N} b", "left", 5, "a^2 b a^3"),
+            ("b a^-{N}", "a", "right", 4, "a^2 b a^2"),
+        ],
+    )
+    def test_one_run_anchor_reaches_palindrome_late(self, left, right, side, extra, want):
+        # A^t M (M A^t) is first a palindrome at t = N: N products on the
+        # anchor's side, then the order alternates
+        for N in (1000, 10**12):
+            state = pair_of(left.format(N=N), right.format(N=N), (0, 1), (1, 1))
+            got = run_preserving(state, side, N + extra)
+            assert (got.right if side == "left" else got.left) == W(want)
+            if N == 1000:
+                assert got == iterate(state, side, N + extra)
+
+    @settings(deadline=None)
+    @given(st.data(), palindrome_anchors, st.sampled_from(["left", "right"]))
+    def test_palindrome_anchor_matches_iteration(self, data, anchor, side):
+        # M at random, or A^-s Q: for a palindrome Q, A^s M is one; for
+        # Q = P X P, A^s M has matching end runs but need not be one
+        framed = st.builds(lambda p, x: p * x * p, palindromes, short_words)
+        moving = data.draw(
+            st.one_of(
+                short_words,
+                st.builds(
+                    lambda s, q: anchor**-s * q, st.integers(1, 6), st.one_of(palindromes, framed)
+                ),
+            )
+        )
+        if side == "right":  # M A^s is then the palindrome
+            moving = moving.reverse()
+        n = data.draw(st.integers(1, 3 * len(moving.runs) + 3))
+        pair = (anchor, moving) if side == "left" else (moving, anchor)
+        state = GeneratorPair(*pair, ZERO, INFINITY)
+        assert run_preserving(state, side, n) == iterate(state, side, n)
 
     def test_long_block_on_non_palindromes(self):
         state = pair_of("a b a^-1", "b a", (0, 1), (1, 0))
@@ -316,9 +373,7 @@ class TestRunESequence:
         ],
     )
     @pytest.mark.parametrize("alphabet", ["ab", "AB"])
-    def test_hand_built_traces_render_like_format(
-        self, monkeypatch, start, words, fallback, alphabet
-    ):
+    def test_hand_built_traces_render_like_format(self, start, words, fallback, alphabet):
         # [1;2] changes the left word once, then the right word twice
         real = run_esequence(ESequence((1, 2)))
         li, ri = real.initial.left_index, real.initial.right_index
@@ -331,14 +386,6 @@ class TestRunESequence:
         records = tuple(StepRecord(r.preserved, p) for r, p in zip(real.steps, pairs[1:]))
         trace = StepTrace(real.sequence, pairs[0], records)
         want = [(p.left.format(alphabet), p.right.format(alphabet)) for p in pairs]
-        formatted = []
-        original = FreeWord.format
-
-        def recording(self, alphabet="ab"):
-            formatted.append(self)
-            return original(self, alphabet)
-
-        monkeypatch.setattr(FreeWord, "format", recording)
         d = trace.to_dict(alphabet)
         lines = trace.format_lines(alphabet)
         assert [(s["left"], s["right"]) for s in (d["initial"], *d["steps"])] == want
@@ -347,10 +394,6 @@ class TestRunESequence:
             f"[indices: {r.pair.left_index}, {r.pair.right_index}]"
             for r, (left, right) in zip(records, want[1:])
         ]
-        # past the start words, format sees only seam tokens and the fallback
-        later = [w for w in formatted if w is not pairs[0].left and w is not pairs[0].right]
-        unspelled = {w for w in later if len(w.runs) != 1}
-        assert unspelled == ({W(fallback)} if fallback else set())
 
     def test_to_dict(self):
         d = run_esequence(ESequence((0, 3, 4))).to_dict()
@@ -453,30 +496,35 @@ class TestMachineTrust:
 
     @pytest.mark.parametrize("alphabet", ["ab", "AB"])
     def test_provenance_is_invisible(self, monkeypatch, alphabet):
-        spelled = []
-        original = stepper._spell
+        # a machine trace formats only its start words and one-run seam
+        # tokens, and its copies, which format every word, print the same
+        formatted = []
+        original = FreeWord.format
 
-        def counting(w, known, alphabet):
-            spelled.append(w)
-            return original(w, known, alphabet)
+        def recording(self, alphabet="ab"):
+            formatted.append(self)
+            return original(self, alphabet)
 
-        monkeypatch.setattr(stepper, "_spell", counting)
         seqs = [*canonical_sequences(3, 3), ESequence((40, 1, 2, 30)), ESequence((0, 9, 1, 7, 2))]
         for seq in seqs:
             t = run_esequence(seq)
             copy = StepTrace(t.sequence, t.initial, t.steps)
             assert t == copy and repr(t) == repr(copy) and hash(t) == hash(copy)
-            d = t.to_dict(alphabet)
+            with monkeypatch.context() as m:
+                m.setattr(FreeWord, "format", recording)
+                d = t.to_dict(alphabet)
+                lines = t.format_lines(alphabet)
+            start = {id(t.initial.left), id(t.initial.right)}
+            tokens = [w for w in formatted if id(w) not in start]
+            assert all(len(w.runs) == 1 for w in tokens), seq
+            assert len(formatted) - len(tokens) == 4, seq  # both start words, twice
+            formatted.clear()
             pairs = (t.initial, *(rec.pair for rec in t.steps))
             texts = [(s["left"], s["right"]) for s in (d["initial"], *d["steps"])]
             assert texts == [(p.left.format(alphabet), p.right.format(alphabet)) for p in pairs]
-            lines = t.format_lines(alphabet)
-            assert not spelled
             for other in (copy, StepTrace(t.sequence, t.initial, t.steps)):
                 assert json.dumps(other.to_dict(alphabet)) == json.dumps(d)
                 assert other.format_lines(alphabet) == lines
-                assert len(spelled) == 4 * len(t.steps)
-                spelled.clear()
 
     def test_exponent_sums_from_index(self, monkeypatch):
         # a machine trace reads last_changed's sums off its index, a copy off its word
