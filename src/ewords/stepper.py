@@ -158,7 +158,11 @@ def _palindrome_power(anchor: FreeWord, moving: FreeWord, n: int) -> int:
     if moving.is_palindrome():
         return 0
     runs = moving.runs
-    if len(anchor.runs) != 1:  # then t <= len(runs), if there is one
+    if len(anchor.runs) != 1:
+        # t <= len(runs) is argued, not proved: A, not the identity, is g^e S g^e,
+        # r >= 3 runs, A^t = g^e (S g^(2e))^t g^-e; A^t M A^-t = reverse(M) has runs(M)
+        # runs, conjugating adds 2t(r - 1) and each run of M cancels two at most, so
+        # t <= runs(M)/2 + 1 or so (test_palindrome_anchor_matches_iteration samples it)
         for t in range(1, min(n, len(runs)) + 1):
             moving = anchor * moving
             if moving.is_palindrome():

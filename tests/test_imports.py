@@ -65,10 +65,12 @@ def test_enumeration_does_not_import_stepper():
     assert "stepper" not in import_graph()["enumeration"]
 
 
-LAZY_LOADS = """
+LAZY_PRELUDE = """
 import contextlib, io, sys
 import ewords, ewords.cli
 fresh_names = dir(ewords)
+commands = [("compute", "68/13"), ("parents", "68/13"), ("cf", "68/13"), ("level", "5/3")]
+commands.append(("count", "12"))
 
 
 def run(*argv):
@@ -78,22 +80,26 @@ def run(*argv):
 
 def loaded(*modules):
     return set(modules) & set(sys.modules)
+"""
 
-
-commands = [("compute", "68/13"), ("parents", "68/13"), ("cf", "68/13"), ("level", "5/3")]
-commands.append(("count", "12"))
+# plain output and both trace formats need no json
+PLAIN_THEN_TRACE = """
 for argv in commands:
     run(*argv)
 assert not loaded("dataclasses", "inspect", "json", "ewords.stepper", "ewords.verify")
+run("trace", "[5;4,3]")
+run("trace", "[5;4,3]", "--format", "json")
+assert loaded("ewords.stepper") and not loaded("dataclasses", "inspect", "json", "ewords.verify")
+"""
+
+JSON_THEN_NAMES = """
 for argv in commands[1:]:
     run(*argv, "--format", "json")
 assert not loaded("dataclasses", "inspect", "ewords.stepper", "ewords.verify")
-run("trace", "[5;4,3]")
-run("trace", "[5;4,3]", "--format", "json")
-assert loaded("ewords.stepper") and not loaded("dataclasses", "inspect", "ewords.verify")
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     assert ewords.cli.main(["compute", "68/13", "--format", "json"]) == 0
+assert loaded("json")
 import json
 w = ewords.e_word(ewords.ExtRational(68, 13))
 data = dict(index="68/13", mode="orphan", alphabet="ab", word=w.format(), runs=w.to_pairs())
@@ -110,13 +116,15 @@ assert set(star) - {"__builtins__"} == set(ewords.__all__)
 
 
 def test_verify_loads_only_when_asked():
-    # a fresh interpreter: this test process has long since imported verify;
-    # compute, parents, cf, level and count load neither stepper nor verify
+    # fresh interpreters: this test process has long since imported verify;
+    # compute, parents, cf, level and count load neither stepper nor verify,
+    # and trace loads stepper alone
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    result = subprocess.run(
-        [sys.executable, "-c", LAZY_LOADS], env=env, capture_output=True, text=True
-    )
-    assert result.returncode == 0, result.stderr
+    for script in (PLAIN_THEN_TRACE, JSON_THEN_NAMES):
+        result = subprocess.run(
+            [sys.executable, "-c", LAZY_PRELUDE + script], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
